@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .noise import load_model, random_model
 from .output import write_csv, write_json
 from .protocol import epsilon_sweep, two_time_protocol, zeno_run
 from .statevec import basis_state, random_state
-from .zeno_code import build_code
+from .zeno_code import MAX_SYSTEM_QUBITS, build_code
 
 OUTDIR_ENV_VAR = "ZENOSIM_OUTDIR"
 
@@ -49,8 +50,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.subcommand not in ("verify", "sweep", "zeno", "twotime"):
             raise ConfigError(f"unknown subcommand {self.subcommand!r}")
-        if not isinstance(self.n, int) or self.n < 1 or self.n > 6:
-            raise ConfigError(f"n: must be an integer in 1..6, got {self.n!r}")
+        if not isinstance(self.n, int) or self.n < 1 or self.n > MAX_SYSTEM_QUBITS:
+            raise ConfigError(f"n: must be an integer in 1..{MAX_SYSTEM_QUBITS}, got {self.n!r}")
         if self.noise_kind not in ("random", "fixed-from-file"):
             raise ConfigError(f"noise_kind: must be 'random' or 'fixed-from-file', got {self.noise_kind!r}")
         if self.noise_kind == "fixed-from-file" and not self.model_file:
@@ -66,11 +67,13 @@ class ExperimentConfig:
         if self.subcommand in ("sweep", "twotime"):
             if not self.epsilons:
                 raise ConfigError("epsilons: at least one noise strength is required")
+            if not all(math.isfinite(e) for e in self.epsilons):
+                raise ConfigError("epsilons: all strengths must be finite")
             if any(e <= 0 for e in self.epsilons):
                 raise ConfigError("epsilons: all strengths must be positive")
         if self.subcommand == "zeno":
-            if self.total_epsilon is None or self.total_epsilon < 0:
-                raise ConfigError("total_epsilon: a nonnegative total strength is required")
+            if self.total_epsilon is None or not math.isfinite(self.total_epsilon) or self.total_epsilon < 0:
+                raise ConfigError("total_epsilon: a finite nonnegative total strength is required")
             if not self.k_values or any((not isinstance(k, int)) or k < 1 for k in self.k_values):
                 raise ConfigError("k_values: need positive integer cycle counts")
         if self.subcommand == "twotime" and self.n not in (1, 2):
@@ -88,7 +91,8 @@ def parse_epsilons(text: str, points: int) -> list:
             lo, hi = (float(part) for part in text.split("..", 1))
             if points < 2:
                 raise ConfigError("points: a strength range needs at least two points")
-            return [float(e) for e in np.geomspace(lo, hi, points)]
+            with np.errstate(all="ignore"):  # a non-finite end fails validation, without a warning
+                return [float(e) for e in np.geomspace(lo, hi, points)]
         return [float(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise ConfigError(f"epsilons: could not parse {text!r}") from exc
@@ -207,7 +211,10 @@ def _system_state(config: ExperimentConfig, n: int):
 
 def _noise_model(config: ExperimentConfig, n: int):
     if config.noise_kind == "fixed-from-file":
-        model = load_model(config.model_file)
+        try:
+            model = load_model(config.model_file)
+        except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+            raise ConfigError(f"model_file: cannot load {config.model_file!r}: {exc}") from exc
         if model.n != n:
             raise ConfigError(f"model_file: model has n={model.n}, expected {n}")
         return model

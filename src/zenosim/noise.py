@@ -47,8 +47,8 @@ class NoiseModel:
                     raise ContractViolation(
                         f"coupling ({i}, {b}) has spectral norm > 1"
                     )
-        if self.epsilon < 0:
-            raise ContractViolation("noise strength must be nonnegative")
+        if not np.isfinite(self.epsilon) or self.epsilon < 0:
+            raise ContractViolation("noise strength must be finite and nonnegative")
         object.__setattr__(self, "couplings", arr)
 
     def with_epsilon(self, epsilon: float) -> "NoiseModel":
@@ -101,6 +101,21 @@ def noise_unitary(model: NoiseModel, epsilon: float | None = None) -> DenseOpera
     """exp(+i eps H) on the system|environment block (standard targets)."""
     eps = model.epsilon if epsilon is None else epsilon
     return hermitian_exp(build_hamiltonian(model), eps)
+
+
+def pair_unitaries(model: NoiseModel, epsilon: float | None = None) -> np.ndarray:
+    """The factors V_i = exp(+i eps H_i) of noise_unitary, one per (system i, environment i) pair.
+
+    H is a sum of commuting terms on disjoint pairs, so exp(i eps H) is the
+    tensor product of the returned 4x4 blocks.  Shape (n, 4, 4); the local
+    index is sys + 2 * env, and terms are summed in build_hamiltonian's order.
+    """
+    eps = model.epsilon if epsilon is None else epsilon
+    h = np.zeros((model.n, 4, 4), dtype=complex)
+    for b in range(4):
+        h += np.einsum("ixy,uv->ixuyv", model.couplings[:, b], PAULI_MATRICES[b]).reshape(model.n, 4, 4)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * eps * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _sys_env_offset(state: StateVector, n: int) -> int:

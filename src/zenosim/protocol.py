@@ -5,11 +5,19 @@ measurement.  All reported statistics are exact Born probabilities on the
 postselected (no-error) branch; sampling is layered on top purely for
 realism and is always seeded.
 
+Single cycles, sweeps and the two-time protocol evolve the full dense
+ancilla|system|environment register.  Repeated-measurement runs never
+build it.  The noise factorizes as exp(i eps H) = (x)_i V_i over (system i,
+environment i) pairs, and the encoder is sum_a |a><a| (x) sigma_a^(x)n, so
+the syndrome-b branch of one cycle is 1/4 sum_a chi_b(a) (x)_i sigma_a V_i
+sigma_a, with chi_b(a) the conjugation sign of `coefficient_table()`.
+
 Repeated-measurement runs split the total noise strength over k cycles.
-Under the default "reset" policy each cycle sees a fresh environment,
-which is tracked exactly by carrying the system's density matrix between
-cycles and rerunning its eigenvectors as pure states; "persist" keeps one
-environment entangled across the whole run as a single pure state.
+Under the default "reset" policy each cycle sees a fresh environment: the
+system's density matrix goes through the Kraus channel of that branch sum
+with the environment entering in |0...0>, built once per run.  "persist"
+keeps one environment entangled across the whole run and carries the joint
+system|environment pure state, applying the pair factors one at a time.
 """
 
 from __future__ import annotations
@@ -20,19 +28,20 @@ import numpy as np
 
 from .errors import ContractViolation
 from .fitting import PowerLawFit, fit_power_law
-from .noise import NoiseModel, noise_unitary, random_model
+from .noise import NoiseModel, noise_unitary, pair_unitaries, random_model
+from .pauli import PAULI_MATRICES
 from .statevec import (
     StateVector,
     apply,
     basis_state,
-    branch_vector,
     overlap_probability,
     postselect,
     product_state,
     projection_probabilities,
     protected_register,
+    sample_outcome,
 )
-from .zeno_code import ZenoCode, decode, encode, prepare
+from .zeno_code import ZenoCode, check_system_state, decode, encode, prepare
 from .heisenberg import controlled_flip
 
 
@@ -135,62 +144,94 @@ def single_cycle(
     probs = projection_probabilities(state, (0, 1), code.syndrome_basis)
     _, post = postselect(state, (0, 1), code.in_state)
     fidelity = overlap_probability(post, reference)
-    sampled = int(np.random.default_rng(rng_seed).choice(4, p=probs / probs.sum()))
+    return _cycle_result(probs, fidelity, np.random.default_rng(rng_seed))
+
+
+def _branch_signs(code: ZenoCode) -> np.ndarray:
+    """chi_b(a) / 4 indexed [b, a]: the syndrome-b branch weights of the four encoder branches."""
+    return np.array(code.coefficients.signs, dtype=float).T / 4
+
+
+def _branch_factors(model: NoiseModel, epsilon: float) -> np.ndarray:
+    """W[a, i] = sigma_a V_i sigma_a with sigma_a on system i, shape (4, n, 4, 4).
+
+    The encoder is sum_a |a><a| (x) sigma_a^(x)n, so on ancilla branch a the
+    encode-noise-decode sandwich is the product of these pair factors.
+    """
+    flips = np.stack([np.kron(np.eye(2), p) for p in PAULI_MATRICES])[:, None]
+    return flips @ pair_unitaries(model, epsilon)[None] @ flips
+
+
+def kraus_operators(code: ZenoCode, model: NoiseModel, epsilon: float) -> np.ndarray:
+    """K[b, e] = 1/4 sum_a chi_b(a) (x)_i <e_i|W[a, i]|0>, shape (4, 2^n, 2^n, 2^n).
+
+    One cycle with a fresh environment in |0...0> takes the system's rho to
+    the syndrome-b branch sum_e K[b, e] rho K[b, e]^dagger, where e is the
+    environment's outcome; summed over b the channel preserves trace.
+    """
+    n = code.n
+    # pair factors as [a, i, env out, sys out, env in, sys in], environment entering in |0>
+    factors = _branch_factors(model, epsilon).reshape(4, n, 2, 2, 2, 2)[..., 0, :]
+    ops = np.ones((4, 1, 1, 1), dtype=complex)
+    for i in range(n):  # pair i becomes the most significant bit so far
+        d = 2 ** (i + 1)
+        ops = np.einsum("aesu,aEST->aeEsSuT", factors[:, i], ops).reshape(4, d, d, d)
+    return np.tensordot(_branch_signs(code), ops, axes=1)
+
+
+def kraus_step(kraus: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Syndrome probabilities p_b = sum_e tr(K[b, e] rho K[b, e]^dagger) and the normalized no-error rho."""
+    k_rho = kraus @ rho
+    probs = np.einsum("besk,besk->b", k_rho, kraus.conj()).real
+    p0 = _no_error_weight(probs)
+    return probs, (k_rho[0] @ kraus[0].conj().swapaxes(-1, -2)).sum(axis=0) / p0
+
+
+def _no_error_weight(probs: np.ndarray) -> float:
+    p0 = float(probs[0])
+    if p0 <= 1e-300:
+        raise ContractViolation("postselection branch has zero weight")
+    return p0
+
+
+def _cycle_result(probs: np.ndarray, fidelity: float, rng: np.random.Generator) -> CycleResult:
+    p0 = float(probs[0])
     return CycleResult(
-        success_probability=float(probs[0]),
-        conditional_fidelity=float(fidelity),
-        failure_probability=float(1.0 - probs[0]),
-        syndrome_probabilities=tuple(float(p) for p in probs),
-        sampled_syndrome=sampled,
+        p0, float(fidelity), float(1.0 - p0), tuple(float(p) for p in probs), sample_outcome(rng, probs)
     )
 
 
-def _reset_policy_run(code, model, eps_c, cycles, psi, rng) -> tuple[list[CycleResult], float]:
-    n = code.n
-    dim = 2**n
+def _reset_policy_run(code, model, eps_c, cycles, psi, rng) -> list[CycleResult]:
+    kraus = kraus_operators(code, model, eps_c)
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
     results = []
     for _ in range(cycles):
-        weights, vectors = np.linalg.eigh(rho)
-        probs = np.zeros(4)
-        rho_next = np.zeros((dim, dim), dtype=complex)
-        for w, v in zip(weights, vectors.T):
-            if w < 1e-14:
-                continue
-            pure = product_state(code.in_state, v, basis_state(n).amplitudes)
-            out = _cycle_state(code, pure, model, eps_c)
-            probs += w * projection_probabilities(out, (0, 1), code.syndrome_basis)
-            rest = branch_vector(out, (0, 1), code.in_state).amplitudes
-            block = rest.reshape(dim, dim)  # environment index above system index
-            rho_next += w * (block.T @ block.conj())
-        p0 = float(probs[0])
-        rho = rho_next / p0
-        fidelity = float((psi.amplitudes.conj() @ rho @ psi.amplitudes).real)
-        sampled = int(rng.choice(4, p=probs / probs.sum()))
-        results.append(
-            CycleResult(p0, fidelity, float(1.0 - p0), tuple(float(p) for p in probs), sampled)
-        )
-    return results, results[-1].conditional_fidelity
+        probs, rho = kraus_step(kraus, rho)
+        fidelity = (psi.amplitudes.conj() @ rho @ psi.amplitudes).real
+        results.append(_cycle_result(probs, fidelity, rng))
+    return results
 
 
-def _persist_policy_run(code, model, eps_c, cycles, psi, rng) -> tuple[list[CycleResult], float]:
-    reference = prepare(code, psi)
-    state = _attach_environment(reference, code.n)
+def _persist_policy_run(code, model, eps_c, cycles, psi, rng) -> list[CycleResult]:
+    n = code.n
+    dim = 2**n
+    factors = _branch_factors(model, eps_c).reshape(4, n, 2, 2, 2, 2)  # as in kraus_operators
+    signs = _branch_signs(code)
+    joint = np.zeros((dim, dim), dtype=complex)  # [environment, system], environment in |0...0>
+    joint[0] = psi.amplitudes
     results = []
-    fidelity = 1.0
     for _ in range(cycles):
-        state = _cycle_state(code, state, model, eps_c)
-        probs = projection_probabilities(state, (0, 1), code.syndrome_basis)
-        _, state = postselect(state, (0, 1), code.in_state)
-        fidelity = overlap_probability(state, reference)
-        sampled = int(rng.choice(4, p=probs / probs.sum()))
-        results.append(
-            CycleResult(
-                float(probs[0]), float(fidelity), float(1.0 - probs[0]),
-                tuple(float(p) for p in probs), sampled,
-            )
-        )
-    return results, float(fidelity)
+        branches = np.broadcast_to(joint, (4, dim, dim))
+        for i in range(n):
+            hi, lo = 2 ** (n - 1 - i), 2**i
+            split = branches.reshape(4, hi, 2, lo, hi, 2, lo)  # environment bit i, then system bit i
+            branches = np.einsum("apsqt,aHqLhtl->aHpLhsl", factors[:, i], split)
+        branches = signs @ branches.reshape(4, dim * dim)
+        probs = (np.abs(branches) ** 2).sum(axis=1)
+        joint = branches[0].reshape(dim, dim) / np.sqrt(_no_error_weight(probs))
+        fidelity = np.sum(np.abs(joint @ psi.amplitudes.conj()) ** 2)
+        results.append(_cycle_result(probs, fidelity, rng))
+    return results
 
 
 def zeno_run(
@@ -216,10 +257,11 @@ def zeno_run(
         raise ContractViolation(f"noise model has n={model.n} but code has n={code.n}")
     if psi is None:
         psi = basis_state(code.n)
+    check_system_state(code, psi)
     eps_c = total_epsilon / cycles
     rng = np.random.default_rng(rng_seed)
     runner = _reset_policy_run if env_policy == "reset" else _persist_policy_run
-    per_cycle, final_fidelity = runner(code, model, eps_c, cycles, psi, rng)
+    per_cycle = runner(code, model, eps_c, cycles, psi, rng)
     cumulative = float(np.prod([c.success_probability for c in per_cycle]))
     return RunResult(
         cycles=cycles,
@@ -228,7 +270,7 @@ def zeno_run(
         per_cycle=tuple(per_cycle),
         cumulative_success=cumulative,
         cumulative_failure=float(1.0 - cumulative),
-        final_conditional_fidelity=final_fidelity,
+        final_conditional_fidelity=per_cycle[-1].conditional_fidelity,
     )
 
 
@@ -335,7 +377,7 @@ def two_time_protocol(
             for p in range(n)
         )
         labels.append(per_pair)
-    sampled = int(np.random.default_rng(rng_seed).choice(4**n, p=probs / probs.sum()))
+    sampled = sample_outcome(np.random.default_rng(rng_seed), probs)
     return TwoTimeResult(n, float(epsilon), tuple(labels), probs, sampled)
 
 

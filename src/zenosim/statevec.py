@@ -235,6 +235,11 @@ def projection_probabilities(state: StateVector, targets, basis) -> np.ndarray:
     return (np.abs(amps) ** 2).sum(axis=0)
 
 
+def sample_outcome(rng: np.random.Generator, probs: np.ndarray) -> int:
+    """Draw one outcome index with the Born rule, from probabilities renormalized to sum 1."""
+    return int(rng.choice(probs.size, p=probs / probs.sum()))
+
+
 @dataclass
 class MeasurementResult:
     outcome: int
@@ -257,8 +262,7 @@ def project_measure(state: StateVector, targets, basis, rng_seed: int) -> Measur
     block = _split_targets(state, targets)
     amps = block @ basis.conj()
     probs = (np.abs(amps) ** 2).sum(axis=0)
-    rng = np.random.default_rng(rng_seed)
-    outcome = int(rng.choice(2**k, p=probs / probs.sum()))
+    outcome = sample_outcome(np.random.default_rng(rng_seed), probs)
     p = float(probs[outcome])
     if p <= 0.0:
         raise ContractViolation("sampled an outcome with zero probability")

@@ -64,14 +64,19 @@ def build_code(n: int) -> ZenoCode:
     return ZenoCode(n, encoder, syndrome_state(0), basis, coefficient_table())
 
 
-def prepare(code: ZenoCode, psi: StateVector) -> StateVector:
-    """Place the ancilla in its uniform start state next to the system state."""
+def check_system_state(code: ZenoCode, psi: StateVector) -> None:
+    """Reject a system state of the wrong size or norm."""
     if psi.num_qubits != code.n:
         raise ContractViolation(
             f"system state has {psi.num_qubits} qubits, code expects {code.n}"
         )
     if abs(psi.norm() - 1.0) > 1e-9:
         raise ContractViolation("system state must be normalized")
+
+
+def prepare(code: ZenoCode, psi: StateVector) -> StateVector:
+    """Place the ancilla in its uniform start state next to the system state."""
+    check_system_state(code, psi)
     return product_state(
         code.in_state, psi, layout=protected_register(code.n, environment=False)
     )

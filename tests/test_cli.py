@@ -6,6 +6,7 @@ from zenosim.cli import ExperimentConfig, main, parse_epsilons
 from zenosim.errors import ConfigError
 from zenosim.noise import save_model, zero_model
 from zenosim.output import data_lines
+from zenosim.zeno_code import MAX_SYSTEM_QUBITS
 
 
 def read_lines(path):
@@ -26,6 +27,8 @@ def test_parse_epsilons_list_and_range():
 def test_config_validation_messages():
     with pytest.raises(ConfigError, match="n:"):
         ExperimentConfig("sweep", n=0, epsilons=[1e-3]).validate()
+    with pytest.raises(ConfigError, match=f"n: must be an integer in 1..{MAX_SYSTEM_QUBITS}"):
+        ExperimentConfig("sweep", n=MAX_SYSTEM_QUBITS + 1, epsilons=[1e-3]).validate()
     with pytest.raises(ConfigError, match="epsilons:"):
         ExperimentConfig("sweep", n=1).validate()
     with pytest.raises(ConfigError, match="total_epsilon:"):
@@ -144,3 +147,38 @@ def test_outdir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("ZENOSIM_OUTDIR", str(tmp_path))
     assert main(["sweep", "--n", "1", "--seed", "7", "--eps", "1e-3..3e-2"]) == 0
     assert (tmp_path / "sweep.csv").exists()
+
+
+def _model_file(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (lambda tmp: ["sweep", "--n", "1", "--eps", "1e-3..inf"], "epsilons:"),
+        (lambda tmp: ["twotime", "--n", "1", "--eps", "nan,1e-2"], "epsilons:"),
+        (lambda tmp: ["zeno", "--n", "1", "--total-eps", "nan", "--k", "1,2"], "total_epsilon:"),
+        (lambda tmp: ["zeno", "--n", "1", "--total-eps", "0.05", "--k", "1",
+                      "--model-file", str(tmp / "missing.json")], "model_file:"),
+        (lambda tmp: ["zeno", "--n", "2", "--total-eps", "0.05", "--k", "1",
+                      "--model-file", _model_file(tmp, '{"n": 2}')], "model_file:"),
+        (lambda tmp: ["sweep", "--n", "2", "--eps", "1e-3..1e-1",
+                      "--model-file", _model_file(tmp, '{"n": 2, "epsilon": 0.01, "couplings": []}')], "model_file:"),
+        (lambda tmp: ["sweep", "--n", "1", "--eps", "1e-3..1e-1",
+                      "--model-file", _model_file(tmp, '{"n": null}')], "model_file:"),
+        (lambda tmp: ["sweep", "--n", "1", "--eps", "1e-3..1e-1",
+                      "--model-file", _model_file(tmp, "not json")], "model_file:"),
+    ],
+    ids=["range-to-inf", "nan-in-list", "nan-total", "missing-model", "model-without-couplings",
+         "model-short-couplings", "model-null-n", "model-not-json"],
+)
+@pytest.mark.filterwarnings("error")  # a warning would print a second stderr line
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main([*argv(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+    assert not out.exists()

@@ -60,6 +60,9 @@ def test_noise_model_validation():
         NoiseModel(1, big, 0.01)
     with pytest.raises(ContractViolation):
         NoiseModel(2, np.zeros((1, 4, 2, 2)), 0.01)
+    for eps in (-0.01, float("nan"), float("inf")):
+        with pytest.raises(ContractViolation, match="finite and nonnegative"):
+            NoiseModel(1, np.zeros((1, 4, 2, 2)), eps)
 
 
 def test_zero_model_gives_zero_hamiltonian():

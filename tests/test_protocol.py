@@ -5,7 +5,7 @@ from zenosim.errors import ContractViolation
 from zenosim.fitting import fit_power_law
 from zenosim.noise import random_model, zero_model
 from zenosim.protocol import epsilon_sweep, single_cycle, zeno_run
-from zenosim.statevec import basis_state, random_state
+from zenosim.statevec import StateVector, basis_state, random_state
 from zenosim.zeno_code import build_code
 
 EPS_GRID = np.geomspace(1e-3, 3e-2, 8)
@@ -104,6 +104,11 @@ def test_zeno_run_validates_arguments(code1, model1):
         zeno_run(code1, model1, 0.05, 0)
     with pytest.raises(ContractViolation):
         zeno_run(code1, model1, 0.05, 2, env_policy="bounce")
+    for policy in ("reset", "persist"):
+        with pytest.raises(ContractViolation, match="qubits"):
+            zeno_run(code1, model1, 0.05, 2, policy, psi=basis_state(2))
+        with pytest.raises(ContractViolation, match="normalized"):
+            zeno_run(code1, model1, 0.05, 2, policy, psi=StateVector(np.array([1.0, 1.0])))
 
 
 @pytest.mark.parametrize("policy", ["reset", "persist"])
