@@ -71,6 +71,14 @@ class ExperimentConfig:
                 raise ConfigError("epsilons: all strengths must be finite")
             if any(e <= 0 for e in self.epsilons):
                 raise ConfigError("epsilons: all strengths must be positive")
+        for field in ("seed", "psi_seed"):
+            value = getattr(self, field)
+            if not isinstance(value, int) or value < 0:
+                raise ConfigError(f"{field}: must be a nonnegative integer, got {value!r}")
+        for field in ("model_file", "output_path"):
+            value = getattr(self, field)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{field}: must be a path, got {value!r}")
         if self.subcommand == "zeno":
             if self.total_epsilon is None or not math.isfinite(self.total_epsilon) or self.total_epsilon < 0:
                 raise ConfigError("total_epsilon: a finite nonnegative total strength is required")
@@ -98,11 +106,35 @@ def parse_epsilons(text: str, points: int) -> list:
         raise ConfigError(f"epsilons: could not parse {text!r}") from exc
 
 
+def _as_float(value, field: str) -> float:
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{field}: expected a number, got {value!r}")
+
+
+def _as_int(value, field: str) -> int:
+    """An int, an integral float or a decimal string; a fraction is an error, never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (str, int)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{field}: expected an integer, got {value!r}")
+
+
+def _as_list(raw, convert, field: str) -> list:
+    if not isinstance(raw, list):
+        raise ConfigError(f"{field}: expected a list, got {raw!r}")
+    return [convert(v, field) for v in raw]
+
+
 def _parse_int_list(text: str, field: str) -> list:
-    try:
-        return [int(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise ConfigError(f"{field}: could not parse {text!r}") from exc
+    return [_as_int(tok, field) for tok in text.split(",") if tok]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,8 +186,10 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
             raise ConfigError(f"config: cannot read {args.config!r}: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise ConfigError(f"config: {args.config!r} must hold a JSON object")
 
     def pick(cli_value, key, default):
         if cli_value is not None:
@@ -168,26 +202,27 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         if isinstance(eps_raw, str):
             epsilons = parse_epsilons(eps_raw, getattr(args, "points", 8))
         else:
-            epsilons = [float(e) for e in eps_raw]
+            epsilons = _as_list(eps_raw, _as_float, "epsilons")
 
     k_values = None
     k_raw = pick(getattr(args, "k", None), "k_values", None)
     if k_raw is not None:
-        k_values = _parse_int_list(k_raw, "k_values") if isinstance(k_raw, str) else [int(k) for k in k_raw]
+        k_values = _parse_int_list(k_raw, "k_values") if isinstance(k_raw, str) else _as_list(k_raw, _as_int, "k_values")
 
+    total_raw = pick(getattr(args, "total_eps", None), "total_epsilon", None)
     model_file = pick(getattr(args, "model_file", None), "model_file", None)
     config = ExperimentConfig(
         subcommand=args.subcommand,
-        n=int(pick(getattr(args, "n", None), "n", 1)),
+        n=_as_int(pick(getattr(args, "n", None), "n", 1), "n"),
         epsilons=epsilons,
-        total_epsilon=pick(getattr(args, "total_eps", None), "total_epsilon", None),
+        total_epsilon=None if total_raw is None else _as_float(total_raw, "total_epsilon"),
         k_values=k_values,
-        seed=int(pick(args.seed, "seed", 0)),
+        seed=_as_int(pick(args.seed, "seed", 0), "seed"),
         noise_kind="fixed-from-file" if model_file else pick(None, "noise_kind", "random"),
         model_file=model_file,
         env_policy=pick(getattr(args, "env_policy", None), "env_policy", "reset"),
         psi_kind=pick(getattr(args, "psi", None), "psi_kind", "basis"),
-        psi_seed=int(pick(getattr(args, "psi_seed", None), "psi_seed", 0)),
+        psi_seed=_as_int(pick(getattr(args, "psi_seed", None), "psi_seed", 0), "psi_seed"),
         observable=pick(getattr(args, "observable", None), "observable", "failure"),
         output_format=pick(getattr(args, "format", None), "output_format", "csv"),
         output_path=pick(getattr(args, "out", None), "output_path", None),

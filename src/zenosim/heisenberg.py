@@ -40,9 +40,6 @@ LETTERS = {"x": 1, "y": 2, "z": 3}
 _I2 = np.eye(2, dtype=complex)
 _Z = PAULI_MATRICES[3]
 
-#: Uniform ancilla vector; equal to both spin-up-along-x qubits.
-IN_STATE = np.full(4, 0.5, dtype=complex)
-
 
 def _letter(a) -> int:
     if isinstance(a, str):
@@ -200,7 +197,8 @@ def ancilla_factor_expectation(a) -> float:
     factor contains a sigma_z acting on a spin-up-along-x qubit.
     """
     fac = ancilla_factor(a if a != 0 else 0)
-    return float((IN_STATE.conj() @ fac @ IN_STATE).real)
+    start = syndrome_state(0)
+    return float((start.conj() @ fac @ start).real)
 
 
 def conditioned_cycle_operator(model: NoiseModel, epsilon: float) -> np.ndarray:
@@ -217,7 +215,8 @@ def conditioned_cycle_operator(model: NoiseModel, epsilon: float) -> np.ndarray:
     noi = operator_on_register(noise_unitary(model, epsilon).matrix, (2, 3), 4)
     full = enc @ noi @ enc
     blocks = full.reshape(4, 4, 4, 4)  # [rest', anc', rest, anc]
-    return np.einsum("a,xayb,b->xy", IN_STATE.conj(), blocks, IN_STATE)
+    start = syndrome_state(0)
+    return np.einsum("a,xayb,b->xy", start.conj(), blocks, start)
 
 
 def effective_noise_check(model: NoiseModel, epsilon: float) -> float:
@@ -239,7 +238,7 @@ def effective_noise_check(model: NoiseModel, epsilon: float) -> float:
 
 def _syndrome_distribution(encoder_full, decoder_full, model, epsilon, psi) -> np.ndarray:
     basis = np.column_stack([syndrome_state(b) for b in range(4)])
-    state = product_state(IN_STATE, psi, basis_state(1).amplitudes)
+    state = product_state(syndrome_state(0), psi, basis_state(1).amplitudes)
     for mat in (encoder_full, noise_unitary(model, epsilon).matrix, decoder_full):
         dim = mat.shape[0]
         targets = (2, 3) if dim == 4 else (0, 1, 2)
@@ -312,7 +311,7 @@ def _conjugation_sign_report() -> IdentityReport:
 def _syndrome_basis_report() -> IdentityReport:
     basis = np.column_stack([syndrome_state(b) for b in range(4)])
     gram = np.abs(basis.conj().T @ basis - np.eye(4)).max()
-    start = np.abs(basis[:, 0] - IN_STATE).max()
+    start = np.abs(basis[:, 0] - 0.5).max()  # the uniform vector
     x_high = np.kron(PAULI_MATRICES[1], _I2)
     x_low = np.kron(_I2, PAULI_MATRICES[1])
     eig = 0.0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,12 @@ HERMITICITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Couplings[i, b] acts on environment qubit i alongside letter b on system qubit i."""
+    """Couplings[i, b] acts on environment qubit i alongside letter b on system qubit i.
+
+    The model takes its couplings array over and makes it read-only, so the
+    Hamiltonian (and its eigendecomposition) cached on first use stays valid;
+    `with_epsilon` and `scaled` build new models with empty caches.
+    """
 
     n: int
     couplings: np.ndarray  # shape (n, 4, 2, 2), each slice Hermitian with spectral norm <= 1
@@ -49,7 +55,13 @@ class NoiseModel:
                     )
         if not np.isfinite(self.epsilon) or self.epsilon < 0:
             raise ContractViolation("noise strength must be finite and nonnegative")
+        arr.flags.writeable = False
         object.__setattr__(self, "couplings", arr)
+
+    @cached_property
+    def hamiltonian(self) -> DenseOperator:
+        """build_hamiltonian(self), built on first use."""
+        return build_hamiltonian(self)
 
     def with_epsilon(self, epsilon: float) -> "NoiseModel":
         return dataclasses.replace(self, epsilon=epsilon)
@@ -98,9 +110,12 @@ def build_hamiltonian(model: NoiseModel) -> DenseOperator:
 
 
 def noise_unitary(model: NoiseModel, epsilon: float | None = None) -> DenseOperator:
-    """exp(+i eps H) on the system|environment block (standard targets)."""
+    """exp(+i eps H) on the system|environment block (standard targets).
+
+    H is diagonalized once per model; each call only redoes the phases.
+    """
     eps = model.epsilon if epsilon is None else epsilon
-    return hermitian_exp(build_hamiltonian(model), eps)
+    return hermitian_exp(model.hamiltonian, eps)
 
 
 def pair_unitaries(model: NoiseModel, epsilon: float | None = None) -> np.ndarray:
@@ -148,7 +163,7 @@ def evolve_first_order(
     """
     eps = model.epsilon if epsilon is None else epsilon
     offset = _sys_env_offset(state, model.n)
-    h = build_hamiltonian(model)
+    h = model.hamiltonian
     h = h.retargeted(tuple(q + offset - 2 for q in h.target_qubits))
     out = StateVector(state.amplitudes + 1j * eps * apply(h, state).amplitudes, state.layout)
     return out.normalized() if renormalize else out

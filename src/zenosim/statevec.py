@@ -13,6 +13,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -101,9 +102,13 @@ def random_state(num_qubits: int, seed: int, layout: Register | None = None) -> 
     return StateVector(amps / np.linalg.norm(amps), layout)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseOperator:
-    """Square complex matrix acting on an ordered list of target qubits."""
+    """Square complex matrix acting on an ordered list of target qubits.
+
+    The operator takes its matrix over and makes it read-only, so the
+    eigendecomposition it caches can never disagree with it.
+    """
 
     matrix: np.ndarray
     target_qubits: tuple[int, ...]
@@ -128,18 +133,26 @@ class DenseOperator:
                 raise ContractViolation(
                     f"unitary flag set but max |U+U - 1| = {defect:.3e}"
                 )
-        self.matrix = mat
-        self.target_qubits = targets
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "target_qubits", targets)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (w, v) with matrix = v diag(w) v^dagger, computed on first use."""
+        defect = np.abs(self.matrix - self.matrix.conj().T).max()
+        if defect > NORM_TOL:
+            raise ContractViolation(f"matrix is not hermitian (defect {defect:.3e})")
+        w, v = np.linalg.eigh(self.matrix)
+        w.flags.writeable = v.flags.writeable = False
+        return w, v
+
     def retargeted(self, targets) -> "DenseOperator":
         return replace(self, target_qubits=tuple(targets))
-
-    def dagger(self) -> "DenseOperator":
-        return replace(self, matrix=self.matrix.conj().T)
 
 
 def apply(op: DenseOperator, state: StateVector) -> StateVector:
@@ -181,11 +194,8 @@ def operator_on_register(matrix, targets, num_qubits: int) -> np.ndarray:
 
 
 def hermitian_exp(op: DenseOperator, t: float) -> DenseOperator:
-    """exp(+i t H) for Hermitian H, computed by eigendecomposition."""
-    defect = np.abs(op.matrix - op.matrix.conj().T).max()
-    if defect > NORM_TOL:
-        raise ContractViolation(f"matrix is not hermitian (defect {defect:.3e})")
-    w, v = np.linalg.eigh(op.matrix)
+    """exp(+i t H) for Hermitian H, from the operator's cached eigendecomposition."""
+    w, v = op.eigh
     u = (v * np.exp(1j * t * w)) @ v.conj().T
     return DenseOperator(u, op.target_qubits, unitary=True)
 

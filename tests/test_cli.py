@@ -37,6 +37,10 @@ def test_config_validation_messages():
         ExperimentConfig("zeno", n=1, total_epsilon=0.1, k_values=[0]).validate()
     with pytest.raises(ConfigError, match="model_file:"):
         ExperimentConfig("sweep", n=1, epsilons=[1e-3], noise_kind="fixed-from-file").validate()
+    with pytest.raises(ConfigError, match="output_path:"):
+        ExperimentConfig("sweep", n=1, epsilons=[1e-3], output_path=5).validate()
+    with pytest.raises(ConfigError, match="seed:"):
+        ExperimentConfig("sweep", n=1, epsilons=[1e-3], seed=-1).validate()
 
 
 def test_verify_subcommand_passes(tmp_path, capsys):
@@ -155,6 +159,16 @@ def _model_file(tmp_path, text):
     return str(path)
 
 
+def _config(tmp_path, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    return ["--config", str(path)]
+
+
+SWEEP = ["sweep", "--eps", "1e-3..1e-1"]
+ZENO = ["zeno", "--total-eps", "0.1", "--k", "1"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -171,9 +185,31 @@ def _model_file(tmp_path, text):
                       "--model-file", _model_file(tmp, '{"n": null}')], "model_file:"),
         (lambda tmp: ["sweep", "--n", "1", "--eps", "1e-3..1e-1",
                       "--model-file", _model_file(tmp, "not json")], "model_file:"),
+        (lambda tmp: [*SWEEP[:1], *_config(tmp, '{"epsilons": ["abc"]}')], "epsilons:"),
+        (lambda tmp: [*ZENO, *_config(tmp, '{"epsilons": ["abc"]}')], "epsilons:"),
+        (lambda tmp: [*SWEEP[:1], *_config(tmp, '{"epsilons": 5}')], "epsilons:"),
+        (lambda tmp: [*SWEEP, *_config(tmp, '{"k_values": ["x"], "total_epsilon": 0.1}')], "k_values:"),
+        (lambda tmp: [*ZENO[:1], *_config(tmp, '{"k_values": ["x"], "total_epsilon": 0.1}')], "k_values:"),
+        (lambda tmp: [*SWEEP, *_config(tmp, '{"k_values": [1.5, 2]}')], "k_values:"),
+        (lambda tmp: [*ZENO[:1], *_config(tmp, '{"k_values": [1.5, 2], "total_epsilon": 0.1}')], "k_values:"),
+        (lambda tmp: [*ZENO[:1], "--k", "1.5,2", "--total-eps", "0.1"], "k_values:"),
+        (lambda tmp: [*SWEEP, *_config(tmp, '{"n": "two"}')], "n:"),
+        (lambda tmp: [*ZENO, *_config(tmp, '{"n": "two"}')], "n:"),
+        (lambda tmp: [*ZENO, *_config(tmp, '{"n": 1.5}')], "n:"),
+        (lambda tmp: [*SWEEP, *_config(tmp, "[1, 2]")], "config:"),
+        (lambda tmp: [*ZENO, *_config(tmp, "[1, 2]")], "config:"),
+        (lambda tmp: [*ZENO[:1], "--k", "1", *_config(tmp, '{"total_epsilon": "abc"}')], "total_epsilon:"),
+        (lambda tmp: [*SWEEP, *_config(tmp, '{"seed": -1}')], "seed:"),
+        (lambda tmp: [*ZENO, "--psi", "random-seeded", "--psi-seed", "-1"], "psi_seed:"),
+        (lambda tmp: [*SWEEP, *_config(tmp, b'{"n": "\xff"}')], "config:"),
     ],
     ids=["range-to-inf", "nan-in-list", "nan-total", "missing-model", "model-without-couplings",
-         "model-short-couplings", "model-null-n", "model-not-json"],
+         "model-short-couplings", "model-null-n", "model-not-json",
+         "sweep-config-eps-not-number", "zeno-config-eps-not-number", "sweep-config-eps-not-list",
+         "sweep-config-k-not-number", "zeno-config-k-not-number", "sweep-config-k-fraction",
+         "zeno-config-k-fraction", "zeno-flag-k-fraction", "sweep-config-n-word", "zeno-config-n-word",
+         "zeno-config-n-fraction", "sweep-config-list", "zeno-config-list", "zeno-config-total-word",
+         "sweep-config-negative-seed", "zeno-negative-psi-seed", "sweep-config-not-utf8"],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print a second stderr line
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, message):

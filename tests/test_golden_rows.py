@@ -1,0 +1,58 @@
+"""CLI data rows pinned byte for byte.
+
+`golden_rows.json` holds, per invocation, every line the CLI writes except the
+CSV `# generated:` timestamp, with the output path replaced by OUT.  A kernel
+change that moves any printed digit of a sweep row, its fit, or a two-time
+distribution fails here.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from zenosim.cli import main
+from zenosim.output import data_lines
+
+GOLDEN = Path(__file__).with_name("golden_rows.json")
+SWEEP_EPS = "1e-3..1e-1"
+TWOTIME_EPS = "1e-3,1e-2,1e-1"
+
+
+def _invocations() -> dict:
+    runs = {}
+    for fmt in ("csv", "json"):
+        for seed in (0, 7):
+            for n in (1, 2, 3, 4):
+                runs[f"sweep-n{n}-s{seed}-{fmt}"] = [
+                    "sweep", "--n", str(n), "--seed", str(seed), "--eps", SWEEP_EPS, "--format", fmt,
+                ]
+            for n in (1, 2):
+                runs[f"twotime-n{n}-s{seed}-{fmt}"] = [
+                    "twotime", "--n", str(n), "--seed", str(seed), "--eps", TWOTIME_EPS, "--format", fmt,
+                ]
+    return runs
+
+
+INVOCATIONS = _invocations()
+
+
+def cli_data_lines(argv, tmp_path) -> list[str]:
+    out = tmp_path / f"out.{argv[argv.index('--format') + 1]}"
+    assert main([*argv, "--out", str(out)]) == 0
+    lines = data_lines(out.read_text(encoding="utf-8").splitlines())
+    return [ln.replace(str(out), "OUT") for ln in lines]
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_file_covers_every_invocation(golden):
+    assert set(golden) == set(INVOCATIONS)
+
+
+@pytest.mark.parametrize("label", list(INVOCATIONS))
+def test_cli_data_rows_are_byte_identical(label, golden, tmp_path):
+    assert cli_data_lines(INVOCATIONS[label], tmp_path) == golden[label]

@@ -3,7 +3,6 @@ import pytest
 
 from zenosim.errors import ContractViolation
 from zenosim.heisenberg import (
-    IN_STATE,
     ConditionalFlip,
     ancilla_factor,
     ancilla_factor_expectation,
@@ -19,7 +18,7 @@ from zenosim.heisenberg import (
 )
 from zenosim.fitting import fit_power_law
 from zenosim.noise import NoiseModel, noise_unitary, random_model
-from zenosim.pauli import PAULI_MATRICES
+from zenosim.pauli import PAULI_MATRICES, syndrome_state
 from zenosim.statevec import operator_on_register
 from zenosim.zeno_code import build_code
 
@@ -109,8 +108,8 @@ def test_ancilla_factor_expectations_are_kronecker_delta():
 
 def test_start_state_is_both_x_up_qubits():
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert np.abs(np.kron(plus, plus) - IN_STATE).max() < 1e-15
-    assert np.abs(build_code(1).in_state - IN_STATE).max() < 1e-15
+    assert np.abs(np.kron(plus, plus) - syndrome_state(0)).max() < 1e-15
+    assert np.abs(build_code(1).in_state - syndrome_state(0)).max() < 1e-15
 
 
 def test_flip_product_encoder_branch_structure():

@@ -13,13 +13,16 @@ from zenosim.noise import (
     load_model,
     model_from_dict,
     model_to_dict,
+    noise_unitary,
     random_model,
     save_model,
     zero_model,
 )
 from zenosim.pauli import PAULI_MATRICES
 from zenosim.statevec import (
+    DenseOperator,
     basis_state,
+    hermitian_exp,
     operator_on_register,
     overlap_probability,
     product_state,
@@ -124,8 +127,6 @@ def test_evolution_is_linear_over_mixtures():
     e1 = evolve_exact(s1, model, epsilon=0.2).amplitudes
     e2 = evolve_exact(s2, model, epsilon=0.2).amplitudes
     averaged = lam * np.outer(e1, e1.conj()) + (1 - lam) * np.outer(e2, e2.conj())
-    from zenosim.noise import noise_unitary
-
     u = operator_on_register(noise_unitary(model, 0.2).matrix, (2, 3), 4)
     evolved_mix = u @ rho_mix @ u.conj().T
     assert np.abs(averaged - evolved_mix).max() < 1e-12
@@ -186,6 +187,59 @@ def test_scaled_and_with_epsilon_copies():
     assert np.abs(half.couplings - 0.5 * model.couplings).max() == 0.0
     assert model.with_epsilon(0.2).epsilon == 0.2
     assert model.epsilon == 0.01
+
+
+def _uncached_unitary(model, eps):
+    return hermitian_exp(build_hamiltonian(model), eps).matrix
+
+
+def test_cached_hamiltonian_gives_the_uncached_unitary_bit_for_bit():
+    model = random_model(3, seed=12)
+    assert np.array_equal(model.hamiltonian.matrix, build_hamiltonian(model).matrix)
+    for eps in (0.0, 1e-3, 0.05, 0.4):
+        assert np.array_equal(noise_unitary(model, eps).matrix, _uncached_unitary(model, eps))
+    assert np.array_equal(noise_unitary(model).matrix, _uncached_unitary(model, model.epsilon))
+
+
+def test_model_and_operator_arrays_are_read_only():
+    model = random_model(2, seed=6)
+    with pytest.raises(ValueError, match="read-only"):
+        model.couplings[0, 1, 0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        model.hamiltonian.matrix[0, 0] = 1.0
+    w, v = model.hamiltonian.eigh
+    for arr in (w, v, noise_unitary(model, 0.1).matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_derived_models_build_their_own_caches():
+    model = random_model(2, seed=15, epsilon=0.01)
+    model.hamiltonian.eigh  # fill both caches of the original
+    for derived in (model.scaled(0.5), model.with_epsilon(0.2)):
+        assert "hamiltonian" not in vars(derived)
+        for eps in (None, 0.07):
+            expected = _uncached_unitary(derived, derived.epsilon if eps is None else eps)
+            assert np.array_equal(noise_unitary(derived, eps).matrix, expected)
+    half = model.scaled(0.5)
+    assert not np.array_equal(noise_unitary(half, 0.3).matrix, noise_unitary(model, 0.3).matrix)
+    assert np.array_equal(half.hamiltonian.matrix, 0.5 * model.hamiltonian.matrix)
+
+
+def test_retargeted_operator_decomposes_afresh():
+    h = random_model(1, seed=3).hamiltonian
+    moved = h.retargeted((0, 1))
+    assert "eigh" not in vars(moved)
+    assert np.array_equal(hermitian_exp(moved, 0.2).matrix, hermitian_exp(h, 0.2).matrix)
+    assert hermitian_exp(moved, 0.2).target_qubits == (0, 1)
+
+
+def test_non_hermitian_operator_is_rejected_on_every_call():
+    op = DenseOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), (0,))
+    for _ in range(2):  # a failed decomposition is not cached
+        with pytest.raises(ContractViolation, match="not hermitian"):
+            hermitian_exp(op, 0.1)
+    assert "eigh" not in vars(op)
 
 
 def test_json_roundtrip(tmp_path):

@@ -177,6 +177,26 @@ def test_sweep_rejects_bad_grids(code1, model1):
         epsilon_sweep(code1, model1, list(EPS_GRID), observable="entropy")
 
 
+def test_sweep_decomposes_the_hamiltonian_once_per_model(monkeypatch):
+    calls = []
+    real = np.linalg.eigh
+
+    def spy(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    code, model = build_code(3), random_model(3, seed=5)
+    grid = np.geomspace(1e-3, 1e-1, 16)
+    first = epsilon_sweep(code, model, grid)
+    assert calls == [(64, 64)]
+    second = epsilon_sweep(code, model, grid)
+    assert calls == [(64, 64)]
+    assert first == second
+    epsilon_sweep(code, model.with_epsilon(0.5), grid)  # a new model decomposes its own H
+    assert calls == [(64, 64)] * 2
+
+
 def test_sweep_of_noiseless_model_reports_floor(code1):
     table = epsilon_sweep(code1, zero_model(1), list(EPS_GRID))
     assert table.status == "floor"

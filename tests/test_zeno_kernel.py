@@ -20,10 +20,10 @@ import zenosim.protocol
 import zenosim.statevec
 from dense_reference import dense_zeno_run
 from zenosim.errors import ContractViolation
-from zenosim.noise import noise_unitary, pair_unitaries, random_model
+from zenosim.noise import build_hamiltonian, noise_unitary, pair_unitaries, random_model
 from zenosim.pauli import PAULI_MATRICES
 from zenosim.protocol import kraus_operators, kraus_step, zeno_run
-from zenosim.statevec import operator_on_register, random_state
+from zenosim.statevec import hermitian_exp, operator_on_register, random_state
 from zenosim.zeno_code import build_code
 
 TOL = 1e-12
@@ -43,6 +43,20 @@ def test_pair_unitaries_factor_the_dense_noise(n):
     for i, v in enumerate(pair_unitaries(model, 0.3)):
         product = operator_on_register(v, (i, n + i), 2 * n) @ product
     assert np.abs(product - dense).max() <= TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(PROPERTY_SETTINGS, max_examples=10)
+@given(
+    model_seed=st.integers(0, 2**16),
+    scale=st.floats(0.0, 1.0),
+    epsilons=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
+)
+def test_cached_noise_unitary_is_bitwise_the_uncached_one(n, model_seed, scale, epsilons):
+    model = random_model(n, model_seed).scaled(scale)
+    for eps in epsilons:  # every call after the first reuses the model's eigendecomposition
+        fresh = hermitian_exp(build_hamiltonian(model), eps).matrix
+        assert np.array_equal(noise_unitary(model, eps).matrix, fresh)
 
 
 @pytest.mark.parametrize("policy", ["reset", "persist"])
