@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -137,6 +138,7 @@ def _parse_int_list(text: str, field: str) -> list:
     return [_as_int(tok, field) for tok in text.split(",") if tok]
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zenosim",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .pauli import PAULI_MATRICES
-from .statevec import DenseOperator, StateVector, apply, hermitian_exp, operator_on_register
+from .statevec import DenseOperator, StateVector, apply, hermitian_exp
 
 HERMITICITY_TOL = 1e-12
 
@@ -44,12 +45,14 @@ class NoiseModel:
             raise ContractViolation(
                 f"couplings must have shape ({self.n}, 4, 2, 2), got {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ContractViolation("couplings must be finite")
         for i in range(self.n):
             for b in range(4):
                 a = arr[i, b]
-                if np.abs(a - a.conj().T).max() > HERMITICITY_TOL:
+                if not np.abs(a - a.conj().T).max() <= HERMITICITY_TOL:
                     raise ContractViolation(f"coupling ({i}, {b}) is not hermitian")
-                if np.abs(np.linalg.eigvalsh(a)).max() > 1.0 + 1e-9:
+                if not np.abs(np.linalg.eigvalsh(a)).max() <= 1.0 + 1e-9:
                     raise ContractViolation(
                         f"coupling ({i}, {b}) has spectral norm > 1"
                     )
@@ -95,18 +98,32 @@ def build_hamiltonian(model: NoiseModel) -> DenseOperator:
     Local qubit order is system 0..n-1 then environment 0..n-1; the
     returned target list places the block at qubits 2..2n+1, i.e. just
     above the ancilla of the standard register.
+
+    Each 4x4 term is added into its 4^(n-1) diagonal blocks only, where the
+    other qubits agree; everywhere else the identity on them is zero.
     """
     n = model.n
     dim = 2 ** (2 * n)
     h = np.zeros((dim, dim), dtype=complex)
+    index = np.arange(dim)
     for i in range(n):
+        local = np.array([0, 1 << i, 1 << (n + i), (1 << i) | (1 << (n + i))])  # sys + 2 * env
+        block = index[(index & local[3]) == 0][:, None] + local  # one row per setting of the rest
+        rows, cols = block[:, :, None], block[:, None, :]
         for b in range(4):
             a = model.couplings[i, b]
             if not a.any():
                 continue
-            term = np.kron(a, PAULI_MATRICES[b])  # env above system
-            h += operator_on_register(term, (i, n + i), 2 * n)
+            h[rows, cols] += np.kron(a, PAULI_MATRICES[b])  # env above system
     return DenseOperator(h, tuple(range(2, 2 * n + 2)), hermitian=True)
+
+
+def _strength(model: NoiseModel, epsilon: float | None) -> float:
+    """The explicit strength, or the model's own; either must be finite."""
+    eps = model.epsilon if epsilon is None else epsilon
+    if not math.isfinite(eps):
+        raise ContractViolation(f"noise strength must be finite, got {eps!r}")
+    return eps
 
 
 def noise_unitary(model: NoiseModel, epsilon: float | None = None) -> DenseOperator:
@@ -114,8 +131,7 @@ def noise_unitary(model: NoiseModel, epsilon: float | None = None) -> DenseOpera
 
     H is diagonalized once per model; each call only redoes the phases.
     """
-    eps = model.epsilon if epsilon is None else epsilon
-    return hermitian_exp(model.hamiltonian, eps)
+    return hermitian_exp(model.hamiltonian, _strength(model, epsilon))
 
 
 def pair_unitaries(model: NoiseModel, epsilon: float | None = None) -> np.ndarray:
@@ -125,7 +141,7 @@ def pair_unitaries(model: NoiseModel, epsilon: float | None = None) -> np.ndarra
     tensor product of the returned 4x4 blocks.  Shape (n, 4, 4); the local
     index is sys + 2 * env, and terms are summed in build_hamiltonian's order.
     """
-    eps = model.epsilon if epsilon is None else epsilon
+    eps = _strength(model, epsilon)
     h = np.zeros((model.n, 4, 4), dtype=complex)
     for b in range(4):
         h += np.einsum("ixy,uv->ixuyv", model.couplings[:, b], PAULI_MATRICES[b]).reshape(model.n, 4, 4)
@@ -161,7 +177,7 @@ def evolve_first_order(
     Meant for analytic cross-checks: the output norm differs from 1 at
     second order in eps.
     """
-    eps = model.epsilon if epsilon is None else epsilon
+    eps = _strength(model, epsilon)
     offset = _sys_env_offset(state, model.n)
     h = model.hamiltonian
     h = h.retargeted(tuple(q + offset - 2 for q in h.target_qubits))

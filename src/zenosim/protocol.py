@@ -31,6 +31,7 @@ from .fitting import PowerLawFit, fit_power_law
 from .noise import NoiseModel, noise_unitary, pair_unitaries, random_model
 from .pauli import PAULI_MATRICES
 from .statevec import (
+    NORM_TOL,
     StateVector,
     apply,
     basis_state,
@@ -122,6 +123,13 @@ def _cycle_state(code: ZenoCode, state: StateVector, model: NoiseModel, epsilon:
     return decode(code, state)
 
 
+def _check_norm_drift(before: StateVector, after: StateVector) -> None:
+    """The unitaries applied in between kept the norm to NORM_TOL: an O(state) check per run."""
+    drift = abs(after.norm() - before.norm())
+    if not drift <= NORM_TOL:
+        raise ContractViolation(f"evolution changed the state's norm by {drift:.3e}")
+
+
 def single_cycle(
     code: ZenoCode,
     model: NoiseModel,
@@ -139,8 +147,9 @@ def single_cycle(
         raise ContractViolation(f"noise model has n={model.n} but code has n={code.n}")
     eps = model.epsilon if epsilon is None else epsilon
     reference = prepare(code, psi)
-    state = _attach_environment(reference, code.n)
-    state = _cycle_state(code, state, model, eps)
+    start = _attach_environment(reference, code.n)
+    state = _cycle_state(code, start, model, eps)
+    _check_norm_drift(start, state)
     probs = projection_probabilities(state, (0, 1), code.syndrome_basis)
     _, post = postselect(state, (0, 1), code.in_state)
     fidelity = overlap_probability(post, reference)
@@ -189,7 +198,7 @@ def kraus_step(kraus: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _no_error_weight(probs: np.ndarray) -> float:
     p0 = float(probs[0])
-    if p0 <= 1e-300:
+    if not p0 > 1e-300:
         raise ContractViolation("postselection branch has zero weight")
     return p0
 
@@ -294,8 +303,8 @@ def epsilon_sweep(
     eps = np.asarray(list(epsilons), dtype=float)
     if eps.size < 4:
         raise ContractViolation("need at least four sweep points")
-    if np.any(eps <= 0):
-        raise ContractViolation("sweep strengths must be positive")
+    if not (np.isfinite(eps).all() and (eps > 0).all()):
+        raise ContractViolation("sweep strengths must be finite and positive")
     if eps.max() / eps.min() < 10.0:
         raise ContractViolation("sweep must span at least one decade")
     model = model_or_seed if isinstance(model_or_seed, NoiseModel) else random_model(code.n, int(model_or_seed))
@@ -350,7 +359,8 @@ def two_time_protocol(
         raise ContractViolation(f"system state has {psi.num_qubits} qubits, expected {n}")
     num_tests = 2 * n
     plus = _plus_state()
-    state = product_state(*([plus] * num_tests), psi, basis_state(n).amplitudes)
+    start = product_state(*([plus] * num_tests), psi, basis_state(n).amplitudes)
+    state = start
 
     def flip(letter: str, pair: int):
         control = 2 * pair + (0 if letter == "x" else 1)
@@ -367,6 +377,7 @@ def two_time_protocol(
     state = apply(u.retargeted(sys_env), state)
     for gate in post:
         state = apply(gate, state)
+    _check_norm_drift(start, state)
 
     basis = _comparison_basis(num_tests)
     probs = projection_probabilities(state, tuple(range(num_tests)), basis)

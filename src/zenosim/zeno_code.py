@@ -70,7 +70,7 @@ def check_system_state(code: ZenoCode, psi: StateVector) -> None:
         raise ContractViolation(
             f"system state has {psi.num_qubits} qubits, code expects {code.n}"
         )
-    if abs(psi.norm() - 1.0) > 1e-9:
+    if not abs(psi.norm() - 1.0) <= 1e-9:
         raise ContractViolation("system state must be normalized")
 
 

@@ -1,6 +1,10 @@
-"""Dense reference for `zeno_run`: the full ancilla|system|environment register.
+"""Dense references: the noise Hamiltonian built from full-register krons, and
+`zeno_run` on the full ancilla|system|environment register.
 
-Each cycle applies the 2^(n+2) encoder, the 4^n noise exponential and the
+`dense_build_hamiltonian` is the kron builder `noise.build_hamiltonian`
+replaced; the production builder must reproduce it bit for bit.
+
+In `dense_zeno_run` each cycle applies the 2^(n+2) encoder, the 4^n noise exponential and the
 encoder again to the whole register, then reads the ancilla.  The reset
 policy reruns every eigenvector of the system's density matrix as a pure
 state with a fresh environment; persist carries one pure state.  The noise
@@ -13,11 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from zenosim.noise import noise_unitary
+from zenosim.pauli import PAULI_MATRICES
 from zenosim.protocol import CycleResult, RunResult
 from zenosim.statevec import (
+    DenseOperator,
     apply,
     basis_state,
     branch_vector,
+    operator_on_register,
     overlap_probability,
     postselect,
     product_state,
@@ -25,6 +32,21 @@ from zenosim.statevec import (
     sample_outcome,
 )
 from zenosim.zeno_code import decode, encode, prepare
+
+
+def dense_build_hamiltonian(model) -> DenseOperator:
+    """Sum over (i, b) of the 4^n matrix of letter b on system i times its coupling on environment i."""
+    n = model.n
+    dim = 2 ** (2 * n)
+    h = np.zeros((dim, dim), dtype=complex)
+    for i in range(n):
+        for b in range(4):
+            a = model.couplings[i, b]
+            if not a.any():
+                continue
+            term = np.kron(a, PAULI_MATRICES[b])  # env above system
+            h += operator_on_register(term, (i, n + i), 2 * n)
+    return DenseOperator(h, tuple(range(2, 2 * n + 2)), hermitian=True)
 
 
 def _cycle_state(code, state, unitary):

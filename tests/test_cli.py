@@ -1,10 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from zenosim.cli import ExperimentConfig, main, parse_epsilons
+import zenosim
+from zenosim.cli import ExperimentConfig, _build_parser, main, parse_epsilons
 from zenosim.errors import ConfigError
-from zenosim.noise import save_model, zero_model
+from zenosim.noise import model_to_dict, random_model, save_model, zero_model
 from zenosim.output import data_lines
 from zenosim.zeno_code import MAX_SYSTEM_QUBITS
 
@@ -159,6 +165,12 @@ def _model_file(tmp_path, text):
     return str(path)
 
 
+def _nan_model_file(tmp_path):
+    data = model_to_dict(random_model(2, seed=0))
+    data["couplings"][1][2] = [[[math.nan, math.nan]] * 2] * 2  # json writes and reads NaN
+    return _model_file(tmp_path, json.dumps(data))
+
+
 def _config(tmp_path, content):
     path = tmp_path / "cfg.json"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
@@ -202,6 +214,9 @@ ZENO = ["zeno", "--total-eps", "0.1", "--k", "1"]
         (lambda tmp: [*SWEEP, *_config(tmp, '{"seed": -1}')], "seed:"),
         (lambda tmp: [*ZENO, "--psi", "random-seeded", "--psi-seed", "-1"], "psi_seed:"),
         (lambda tmp: [*SWEEP, *_config(tmp, b'{"n": "\xff"}')], "config:"),
+        (lambda tmp: [*SWEEP, "--n", "2", "--model-file", _nan_model_file(tmp)], "model_file:"),
+        (lambda tmp: ["zeno", "--n", "2", "--total-eps", "0.1", "--k", "1,2",
+                      "--model-file", _nan_model_file(tmp)], "model_file:"),
     ],
     ids=["range-to-inf", "nan-in-list", "nan-total", "missing-model", "model-without-couplings",
          "model-short-couplings", "model-null-n", "model-not-json",
@@ -209,7 +224,8 @@ ZENO = ["zeno", "--total-eps", "0.1", "--k", "1"]
          "sweep-config-k-not-number", "zeno-config-k-not-number", "sweep-config-k-fraction",
          "zeno-config-k-fraction", "zeno-flag-k-fraction", "sweep-config-n-word", "zeno-config-n-word",
          "zeno-config-n-fraction", "sweep-config-list", "zeno-config-list", "zeno-config-total-word",
-         "sweep-config-negative-seed", "zeno-negative-psi-seed", "sweep-config-not-utf8"],
+         "sweep-config-negative-seed", "zeno-negative-psi-seed", "sweep-config-not-utf8",
+         "sweep-nan-couplings", "zeno-nan-couplings"],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print a second stderr line
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
@@ -218,3 +234,35 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
     assert not out.exists()
+
+
+ONE_PROCESS_RUNS = {
+    "sweep": ["sweep", "--n", "2", "--seed", "7", "--eps", "1e-3..1e-1", "--format", "json"],
+    "zeno": ["zeno", "--n", "2", "--total-eps", "0.1", "--k", "1,2", "--env-policy", "persist"],
+    "verify": ["verify", "--format", "json"],
+}
+
+
+def _data_lines_of(out) -> list[str]:
+    return [ln.replace(str(out), "OUT") for ln in data_lines(read_lines(out))]
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    in_process = {}
+    for name in ("sweep", "rejected", "zeno", "verify"):
+        if name == "rejected":
+            with pytest.raises(SystemExit) as exc:
+                main(["zeno", "--n", "3", "--total-eps", "0.5", "--env-policy", "bounce"])
+            assert exc.value.code == 2
+            continue
+        out = tmp_path / f"{name}.out"
+        assert main([*ONE_PROCESS_RUNS[name], "--out", str(out)]) == 0
+        in_process[name] = _data_lines_of(out)
+    src = Path(zenosim.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    for name, argv in ONE_PROCESS_RUNS.items():
+        out = tmp_path / f"{name}-alone.out"
+        subprocess.run([sys.executable, "-m", "zenosim.cli", *argv, "--out", str(out)],
+                       check=True, env=env, capture_output=True)
+        assert _data_lines_of(out) == in_process[name], name

@@ -3,7 +3,8 @@
 `golden_rows.json` holds, per invocation, every line the CLI writes except the
 CSV `# generated:` timestamp, with the output path replaced by OUT.  A kernel
 change that moves any printed digit of a sweep row, its fit, or a two-time
-distribution fails here.
+distribution fails here.  `verify` reports, the dense control, are pinned the
+same way.
 """
 
 import json
@@ -31,6 +32,8 @@ def _invocations() -> dict:
                 runs[f"twotime-n{n}-s{seed}-{fmt}"] = [
                     "twotime", "--n", str(n), "--seed", str(seed), "--eps", TWOTIME_EPS, "--format", fmt,
                 ]
+    for seed in (0, 7):
+        runs[f"verify-s{seed}-json"] = ["verify", "--seed", str(seed), "--format", "json"]
     return runs
 
 

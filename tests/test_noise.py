@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dense_reference import dense_build_hamiltonian
 from zenosim.errors import ContractViolation
 from zenosim.fitting import fit_power_law
 from zenosim.noise import (
@@ -14,6 +15,7 @@ from zenosim.noise import (
     model_from_dict,
     model_to_dict,
     noise_unitary,
+    pair_unitaries,
     random_model,
     save_model,
     zero_model,
@@ -66,6 +68,43 @@ def test_noise_model_validation():
     for eps in (-0.01, float("nan"), float("inf")):
         with pytest.raises(ContractViolation, match="finite and nonnegative"):
             NoiseModel(1, np.zeros((1, 4, 2, 2)), eps)
+    for value in (np.nan, np.inf, complex(0, np.nan)):
+        couplings = np.array(random_model(2, seed=1).couplings)
+        couplings[1, 2, 0, 0] = value
+        with pytest.raises(ContractViolation, match="couplings must be finite"):
+            NoiseModel(2, couplings, 0.01)
+        couplings[1, 2] = value  # a whole coupling block
+        with pytest.raises(ContractViolation, match="couplings must be finite"):
+            NoiseModel(2, couplings, 0.01)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+def test_explicit_non_finite_strength_is_rejected(eps):
+    model = random_model(2, seed=3)
+    state = full_register_state(2, 4)
+    for call in (
+        lambda: noise_unitary(model, eps),
+        lambda: pair_unitaries(model, eps),
+        lambda: evolve_exact(state, model, epsilon=eps),
+        lambda: evolve_first_order(state, model, epsilon=eps),
+    ):
+        with pytest.raises(ContractViolation, match="noise strength must be finite"):
+            call()
+
+
+def _bits(op):
+    return op.matrix.view(np.uint64)  # real and imaginary parts, signs of zeros included
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_hamiltonian_is_bitwise_the_kron_reference(n):
+    model = random_model(n, seed=40 + n)
+    sparse = np.array(model.couplings)
+    sparse[::2, 1] = 0.0  # some all-zero couplings, skipped by both builders
+    sparse[-1, 0] = 0.0
+    models = [model, model.scaled(0.5), model.scaled(-1.0), NoiseModel(n, sparse, 0.01)]
+    for m in models:
+        assert np.array_equal(_bits(build_hamiltonian(m)), _bits(dense_build_hamiltonian(m)))
 
 
 def test_zero_model_gives_zero_hamiltonian():

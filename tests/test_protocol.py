@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import zenosim.protocol
+import zenosim.statevec
 from zenosim.errors import ContractViolation
 from zenosim.fitting import fit_power_law
-from zenosim.noise import random_model, zero_model
+from zenosim.noise import noise_unitary, random_model, zero_model
 from zenosim.protocol import epsilon_sweep, single_cycle, zeno_run
-from zenosim.statevec import StateVector, basis_state, random_state
+from zenosim.statevec import DenseOperator, StateVector, basis_state, random_state
 from zenosim.zeno_code import build_code
 
 EPS_GRID = np.geomspace(1e-3, 3e-2, 8)
@@ -109,6 +111,27 @@ def test_zeno_run_validates_arguments(code1, model1):
             zeno_run(code1, model1, 0.05, 2, policy, psi=basis_state(2))
         with pytest.raises(ContractViolation, match="normalized"):
             zeno_run(code1, model1, 0.05, 2, policy, psi=StateVector(np.array([1.0, 1.0])))
+        with pytest.raises(ContractViolation, match="normalized"):
+            zeno_run(code1, model1, 0.05, 2, policy, psi=StateVector(np.array([np.nan, 0.0])))
+        for total in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ContractViolation, match="noise strength must be finite"):
+                zeno_run(code1, model1, total, 2, policy)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_single_cycle_rejects_non_finite_strength(code1, model1, eps):
+    with pytest.raises(ContractViolation, match="noise strength must be finite"):
+        single_cycle(code1, model1, basis_state(1), 0, epsilon=eps)
+
+
+def test_single_cycle_checks_the_evolved_norm(code2, model2, monkeypatch):
+    def leaky(model, epsilon):
+        u = noise_unitary(model, epsilon)
+        return DenseOperator(u.matrix * (1 + 1e-10), u.target_qubits)
+
+    monkeypatch.setattr(zenosim.protocol, "noise_unitary", leaky)
+    with pytest.raises(ContractViolation, match="norm"):
+        single_cycle(code2, model2, basis_state(2), 0, epsilon=0.01)
 
 
 @pytest.mark.parametrize("policy", ["reset", "persist"])
@@ -173,6 +196,9 @@ def test_sweep_rejects_bad_grids(code1, model1):
         epsilon_sweep(code1, model1, [1e-3, 2e-3, 4e-3, 8e-3])
     with pytest.raises(ContractViolation):
         epsilon_sweep(code1, model1, [-1e-3, 1e-2, 2e-2, 1e-1])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ContractViolation, match="finite and positive"):
+            epsilon_sweep(code1, model1, [1e-3, 1e-2, 1e-1, bad])
     with pytest.raises(ContractViolation):
         epsilon_sweep(code1, model1, list(EPS_GRID), observable="entropy")
 
@@ -195,6 +221,21 @@ def test_sweep_decomposes_the_hamiltonian_once_per_model(monkeypatch):
     assert first == second
     epsilon_sweep(code, model.with_epsilon(0.5), grid)  # a new model decomposes its own H
     assert calls == [(64, 64)] * 2
+
+
+def test_sweep_checks_the_eigenbasis_once_and_no_unitary(monkeypatch):
+    checked = []
+    real = zenosim.statevec._check_orthonormal
+
+    def spy(vectors, what):
+        checked.append((vectors.shape, what))
+        return real(vectors, what)
+
+    code, model = build_code(3), random_model(3, seed=5)
+    monkeypatch.setattr(zenosim.statevec, "_check_orthonormal", spy)
+    epsilon_sweep(code, model, np.geomspace(1e-3, 1e-1, 16))
+    # the 4x4 syndrome basis is checked per point; every 4^n-sized check runs once
+    assert [c for c in checked if c[0] != (4, 4)] == [((64, 64), "eigenbasis")]
 
 
 def test_sweep_of_noiseless_model_reports_floor(code1):

@@ -154,6 +154,40 @@ def test_hermitian_exp_rejects_non_hermitian():
         hermitian_exp(DenseOperator(random_matrix(2, 1), (0,)), 0.1)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_hermitian_exp_rejects_non_finite_time(t):
+    with pytest.raises(ContractViolation, match="finite"):
+        hermitian_exp(DenseOperator(PAULI_MATRICES[1], (0,), hermitian=True), t)
+
+
+def test_hermitian_exp_rejects_a_non_orthonormal_eigenbasis(monkeypatch):
+    real = np.linalg.eigh
+
+    def skewed(matrix):
+        w, v = real(matrix)
+        return w, v + 1e-9 * v[:, ::-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    h = random_matrix(8, 4)
+    op = DenseOperator(h + h.conj().T, (0, 1, 2), hermitian=True)
+    for _ in range(2):  # a rejected decomposition is not cached
+        with pytest.raises(ContractViolation, match="eigenbasis is not orthonormal"):
+            hermitian_exp(op, 0.1)
+
+
+def test_contract_checks_reject_nan():
+    nan = np.full((2, 2), np.nan)
+    for flags in ({"hermitian": True}, {"unitary": True}, {"hermitian": True, "unitary": True}):
+        with pytest.raises(ContractViolation):
+            DenseOperator(nan, (0,), **flags)
+    with pytest.raises(ContractViolation, match="not hermitian"):
+        hermitian_exp(DenseOperator(nan, (0,)), 0.1)
+    with pytest.raises(ContractViolation, match="not orthonormal"):
+        project_measure(random_state(2, 1), (0,), nan, rng_seed=0)
+    with pytest.raises(ContractViolation, match="normalized"):
+        overlap_probability(random_state(2, 1), StateVector(np.array([np.nan, 0.0])))
+
+
 def test_project_measure_on_eigenstate():
     basis = np.eye(4)
     state = product_state([1, 0], [0, 1], [1, 0])  # qubits 0,1 in |0>,|1>

@@ -59,6 +59,20 @@ def test_cached_noise_unitary_is_bitwise_the_uncached_one(n, model_seed, scale, 
         assert np.array_equal(noise_unitary(model, eps).matrix, fresh)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@settings(PROPERTY_SETTINGS, max_examples=10)
+@given(
+    model_seed=st.integers(0, 2**16),
+    scale=st.floats(0.0, 1.0),
+    epsilons=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+)
+def test_noise_unitary_is_unitary_without_a_per_call_check(n, model_seed, scale, epsilons):
+    model = random_model(n, model_seed).scaled(scale)
+    for eps in epsilons:
+        u = noise_unitary(model, eps).matrix
+        assert np.abs(u.conj().T @ u - np.eye(4**n)).max() <= TOL
+
+
 @pytest.mark.parametrize("policy", ["reset", "persist"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @settings(PROPERTY_SETTINGS, max_examples=4)
