@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .pauli import PAULI_MATRICES
-from .statevec import DenseOperator, StateVector, apply, hermitian_exp
+from .statevec import DenseOperator, StateVector, apply, hermitian_exp, unit_phases
 
 HERMITICITY_TOL = 1e-12
 
@@ -126,12 +126,22 @@ def _strength(model: NoiseModel, epsilon: float | None) -> float:
     return eps
 
 
-def noise_unitary(model: NoiseModel, epsilon: float | None = None) -> DenseOperator:
+def noise_unitary(
+    model: NoiseModel, epsilon: float | None = None, *, fresh_environment: bool = False
+) -> DenseOperator:
     """exp(+i eps H) on the system|environment block (standard targets).
 
     H is diagonalized once per model; each call only redoes the phases.
+    With `fresh_environment`, only the columns where the environment is in
+    |0...0> are formed, U (1 (x) |0...0><0...0|_env): the environment bits
+    are the high bits of the block index, so these are the first 2^n
+    columns, and the rest of the matrix is zero.  Applied to a state whose
+    environment is |0...0>, the result is bit for bit that of the whole U.
     """
-    return hermitian_exp(model.hamiltonian, _strength(model, epsilon))
+    # A product with fewer than four columns does not round like the first
+    # columns of the whole product on every BLAS, so n = 1 forms all of U.
+    columns = max(2**model.n, 4) if fresh_environment else None
+    return hermitian_exp(model.hamiltonian, _strength(model, epsilon), columns)
 
 
 def pair_unitaries(model: NoiseModel, epsilon: float | None = None) -> np.ndarray:
@@ -146,7 +156,7 @@ def pair_unitaries(model: NoiseModel, epsilon: float | None = None) -> np.ndarra
     for b in range(4):
         h += np.einsum("ixy,uv->ixuyv", model.couplings[:, b], PAULI_MATRICES[b]).reshape(model.n, 4, 4)
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * eps * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return (v * unit_phases(eps, w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _sys_env_offset(state: StateVector, n: int) -> int:

@@ -23,6 +23,7 @@ system|environment pure state, applying the pair factors one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .noise import NoiseModel, noise_unitary, pair_unitaries, random_model
 from .pauli import PAULI_MATRICES
 from .statevec import (
     NORM_TOL,
+    DenseOperator,
     StateVector,
     apply,
     basis_state,
@@ -119,7 +121,7 @@ def _attach_environment(state: StateVector, n: int) -> StateVector:
 
 def _cycle_state(code: ZenoCode, state: StateVector, model: NoiseModel, epsilon: float) -> StateVector:
     state = encode(code, state)
-    state = apply(noise_unitary(model, epsilon), state)
+    state = apply(noise_unitary(model, epsilon, fresh_environment=True), state)
     return decode(code, state)
 
 
@@ -324,15 +326,33 @@ def _plus_state() -> np.ndarray:
     return np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
+@cache
 def _comparison_basis(num_tests: int) -> np.ndarray:
-    """Outcome basis: each test qubit read out as unchanged (+) or flipped (-)."""
+    """Outcome basis: each test qubit read out as unchanged (+) or flipped (-); read-only, built once."""
     single = np.column_stack(
         [np.array([1, 1], dtype=complex) / np.sqrt(2), np.array([1, -1], dtype=complex) / np.sqrt(2)]
     )
     basis = np.array([[1.0 + 0j]])
     for _ in range(num_tests):
         basis = np.kron(single, basis)
+    basis.flags.writeable = False
     return basis
+
+
+@cache
+def _two_time_gates(n: int) -> tuple[tuple[DenseOperator, ...], tuple[DenseOperator, ...]]:
+    """The controlled flips before and after the disturbance window, in time order; built once per n."""
+    num_tests = 2 * n
+
+    def flip(letter: str, pair: int):
+        control = 2 * pair + (0 if letter == "x" else 1)
+        target = num_tests + pair
+        return controlled_flip(letter).retargeted((control, target))
+
+    # ascending time: outer pair (highest index) couples first and last
+    pre = tuple(flip("x", p) for p in reversed(range(n))) + tuple(flip("y", p) for p in reversed(range(n)))
+    post = tuple(flip("y", p) for p in range(n)) + tuple(flip("x", p) for p in range(n))
+    return pre, post
 
 
 def two_time_protocol(
@@ -361,15 +381,7 @@ def two_time_protocol(
     plus = _plus_state()
     start = product_state(*([plus] * num_tests), psi, basis_state(n).amplitudes)
     state = start
-
-    def flip(letter: str, pair: int):
-        control = 2 * pair + (0 if letter == "x" else 1)
-        target = num_tests + pair
-        return controlled_flip(letter).retargeted((control, target))
-
-    # ascending time: outer pair (highest index) couples first and last
-    pre = [flip("x", p) for p in reversed(range(n))] + [flip("y", p) for p in reversed(range(n))]
-    post = [flip("y", p) for p in range(n)] + [flip("x", p) for p in range(n)]
+    pre, post = _two_time_gates(n)
     for gate in pre:
         state = apply(gate, state)
     u = noise_unitary(disturbance, epsilon)

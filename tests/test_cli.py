@@ -179,6 +179,7 @@ def _config(tmp_path, content):
 
 SWEEP = ["sweep", "--eps", "1e-3..1e-1"]
 ZENO = ["zeno", "--total-eps", "0.1", "--k", "1"]
+OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp would give NaN
 
 
 @pytest.mark.parametrize(
@@ -217,6 +218,10 @@ ZENO = ["zeno", "--total-eps", "0.1", "--k", "1"]
         (lambda tmp: [*SWEEP, "--n", "2", "--model-file", _nan_model_file(tmp)], "model_file:"),
         (lambda tmp: ["zeno", "--n", "2", "--total-eps", "0.1", "--k", "1,2",
                       "--model-file", _nan_model_file(tmp)], "model_file:"),
+        (lambda tmp: ["zeno", "--n", "2", "--total-eps", "1e308", "--k", "1"], OVERFLOW),
+        (lambda tmp: ["zeno", "--n", "2", "--total-eps", "1e308", "--k", "1", "--env-policy", "persist"], OVERFLOW),
+        (lambda tmp: ["twotime", "--n", "2", "--eps", "1e308"], OVERFLOW),
+        (lambda tmp: ["sweep", "--n", "2", "--eps", "1e306..1e308", "--points", "4"], OVERFLOW),
     ],
     ids=["range-to-inf", "nan-in-list", "nan-total", "missing-model", "model-without-couplings",
          "model-short-couplings", "model-null-n", "model-not-json",
@@ -225,7 +230,8 @@ ZENO = ["zeno", "--total-eps", "0.1", "--k", "1"]
          "zeno-config-k-fraction", "zeno-flag-k-fraction", "sweep-config-n-word", "zeno-config-n-word",
          "zeno-config-n-fraction", "sweep-config-list", "zeno-config-list", "zeno-config-total-word",
          "sweep-config-negative-seed", "zeno-negative-psi-seed", "sweep-config-not-utf8",
-         "sweep-nan-couplings", "zeno-nan-couplings"],
+         "sweep-nan-couplings", "zeno-nan-couplings", "zeno-reset-phase-overflow",
+         "zeno-persist-phase-overflow", "twotime-phase-overflow", "sweep-phase-overflow"],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print a second stderr line
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, message):

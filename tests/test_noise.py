@@ -240,6 +240,20 @@ def test_cached_hamiltonian_gives_the_uncached_unitary_bit_for_bit():
     assert np.array_equal(noise_unitary(model).matrix, _uncached_unitary(model, model.epsilon))
 
 
+@pytest.mark.parametrize("n, seeds", [(1, range(4)), (2, range(4)), (3, range(4)), (4, range(3)), (5, range(1))])
+def test_fresh_environment_columns_are_bitwise_those_of_the_whole_unitary(n, seeds):
+    width = max(2**n, 4)
+    for seed in seeds:
+        model = random_model(n, seed)
+        for eps in (-0.7, 1e-3, 0.05, 1.0, 3.5):
+            fresh = noise_unitary(model, eps, fresh_environment=True)
+            whole = noise_unitary(model, eps)
+            assert fresh.dim == whole.dim and fresh.target_qubits == whole.target_qubits
+            formed, rest = fresh.matrix[:, :width], fresh.matrix[:, width:]
+            assert np.array_equal(formed.view(np.uint64), whole.matrix[:, :width].view(np.uint64)), (seed, eps)
+            assert not rest.view(np.uint64).any()  # +0.0 in both parts
+
+
 def test_model_and_operator_arrays_are_read_only():
     model = random_model(2, seed=6)
     with pytest.raises(ValueError, match="read-only"):

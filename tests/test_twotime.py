@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import zenosim.protocol
 from zenosim.errors import ContractViolation
 from zenosim.fitting import fit_power_law
 from zenosim.heisenberg import controlled_flip
@@ -10,6 +11,20 @@ from zenosim.statevec import basis_state, operator_on_register, random_state
 from zenosim.zeno_code import build_code
 
 EPS_GRID = np.geomspace(1e-3, 3e-2, 8)
+
+
+def test_gates_and_basis_are_built_once_per_system_count(monkeypatch):
+    model = random_model(2, seed=3)
+    first = two_time_protocol(model, 0.05, rng_seed=0)
+    built = []
+    monkeypatch.setattr(zenosim.protocol, "controlled_flip", built.append)
+    two_time_protocol(model, 0.2, rng_seed=0)
+    assert built == []
+    assert np.array_equal(two_time_protocol(model, 0.05, rng_seed=0).probabilities, first.probabilities)
+    pre, post = zenosim.protocol._two_time_gates(2)
+    assert all(not gate.matrix.flags.writeable for gate in pre + post)
+    with pytest.raises(ValueError, match="read-only"):
+        zenosim.protocol._comparison_basis(4)[0, 0] = 0.0
 
 
 def test_undisturbed_single_system_has_one_outcome():

@@ -22,7 +22,7 @@ from dense_reference import dense_zeno_run
 from zenosim.errors import ContractViolation
 from zenosim.noise import build_hamiltonian, noise_unitary, pair_unitaries, random_model
 from zenosim.pauli import PAULI_MATRICES
-from zenosim.protocol import kraus_operators, kraus_step, zeno_run
+from zenosim.protocol import epsilon_sweep, kraus_operators, kraus_step, zeno_run
 from zenosim.statevec import hermitian_exp, operator_on_register, random_state
 from zenosim.zeno_code import build_code
 
@@ -71,6 +71,9 @@ def test_noise_unitary_is_unitary_without_a_per_call_check(n, model_seed, scale,
     for eps in epsilons:
         u = noise_unitary(model, eps).matrix
         assert np.abs(u.conj().T @ u - np.eye(4**n)).max() <= TOL
+        width = max(2**n, 4)
+        fresh = noise_unitary(model, eps, fresh_environment=True).matrix[:, :width]
+        assert np.abs(fresh.conj().T @ fresh - np.eye(width)).max() <= TOL
 
 
 @pytest.mark.parametrize("policy", ["reset", "persist"])
@@ -139,6 +142,19 @@ def test_zeno_run_builds_no_dense_noise(monkeypatch, policy):
     run = zeno_run(CODES[3], random_model(3, 1), 0.2, 4, policy, 0, random_state(3, 2))
     assert run.cycles == 4
     assert calls == []
+
+
+def test_sweep_forms_only_the_fresh_environment_columns(monkeypatch):
+    real, widths = zenosim.noise.hermitian_exp, []
+
+    def spy(op, t, columns=None):
+        widths.append(columns)
+        return real(op, t, columns)
+
+    monkeypatch.setattr(zenosim.noise, "hermitian_exp", spy)
+    table = epsilon_sweep(CODES[3], random_model(3, 4), np.geomspace(1e-3, 1e-1, 16))
+    assert len(table.rows) == 16
+    assert widths == [8] * 16
 
 
 @pytest.mark.parametrize("policy", ["reset", "persist"])
