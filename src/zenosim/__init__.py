@@ -14,7 +14,6 @@ from .pauli import (
 from .statevec import (
     DenseOperator,
     MeasurementResult,
-    Register,
     StateVector,
     apply,
     basis_state,
@@ -26,7 +25,6 @@ from .statevec import (
     product_state,
     projection_probabilities,
     project_measure,
-    protected_register,
     random_state,
     reduced_density_matrix,
 )
@@ -55,7 +53,6 @@ from .protocol import (
     zeno_run,
 )
 from .heisenberg import (
-    ConditionalFlip,
     IdentityReport,
     ancilla_factor,
     ancilla_factor_expectation,

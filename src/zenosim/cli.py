@@ -258,6 +258,23 @@ def _noise_model(config: ExperimentConfig, n: int):
     return random_model(n, config.seed)
 
 
+def _write_output(config: ExperimentConfig, columns, rows, fit=None, body=None) -> str:
+    """Write a result table in the configured format; returns the path written.
+
+    CSV holds the config comment, the header and rows, and the fit comment.
+    JSON holds {"config": ..., **body}, with `body` by default the rows as
+    objects keyed by column and the fit.
+    """
+    path = _resolve_output_path(config)
+    if config.output_format == "csv":
+        write_csv(path, config.as_dict(), columns, rows, fit)
+    else:
+        if body is None:
+            body = {"rows": [dict(zip(columns, row)) for row in rows], "fit": fit}
+        write_json(path, {"config": config.as_dict(), **body})
+    return path
+
+
 def _run_verify(config: ExperimentConfig) -> int:
     reports = run_verification()
     for r in reports:
@@ -267,12 +284,12 @@ def _run_verify(config: ExperimentConfig) -> int:
         print(line)
     all_pass = all(r.status == "pass" for r in reports)
     if config.output_path or config.output_format == "json":
-        payload = {
-            "config": config.as_dict(),
-            "reports": [r.as_dict() for r in reports],
-            "all_pass": all_pass,
-        }
-        write_json(_resolve_output_path(config), payload)
+        _write_output(
+            config,
+            ["identity", "status", "max_defect", "note"],
+            [(r.identity, r.status, r.max_defect, r.note) for r in reports],
+            body={"reports": [r.as_dict() for r in reports], "all_pass": all_pass},
+        )
     print(f"{sum(r.status == 'pass' for r in reports)}/{len(reports)} identities hold")
     return 0 if all_pass else 1
 
@@ -292,16 +309,8 @@ def _run_sweep(config: ExperimentConfig) -> int:
             "intercept": table.fit.intercept,
             "max_residual": table.fit.max_residual,
         }
-    path = _resolve_output_path(config)
-    if config.output_format == "csv":
-        write_csv(path, config.as_dict(), columns, rows, fit)
-    else:
-        write_json(path, {
-            "config": config.as_dict(),
-            "rows": [dict(zip(columns, row)) for row in rows],
-            "fit": fit,
-            "status": table.status,
-        })
+    body = {"rows": [dict(zip(columns, row)) for row in rows], "fit": fit, "status": table.status}
+    path = _write_output(config, columns, rows, fit, body)
     print(f"wrote {path} ({table.status})")
     if table.status == "floor":
         print("observable sits at the numerical floor; no fit", file=sys.stderr)
@@ -341,11 +350,7 @@ def _run_zeno(config: ExperimentConfig) -> int:
                 for c in result.per_cycle
             ],
         })
-    path = _resolve_output_path(config)
-    if config.output_format == "csv":
-        write_csv(path, config.as_dict(), columns, rows)
-    else:
-        write_json(path, {"config": config.as_dict(), "rows": detailed, "fit": None})
+    path = _write_output(config, columns, rows, body={"rows": detailed, "fit": None})
     print(f"wrote {path}")
     return 0
 
@@ -363,15 +368,7 @@ def _run_twotime(config: ExperimentConfig) -> int:
             ]
         rows.append((eps, *[float(p) for p in result.probabilities], result.other_outcome_mass))
     columns = ["epsilon", *label_names, "other_outcome_mass"]
-    path = _resolve_output_path(config)
-    if config.output_format == "csv":
-        write_csv(path, config.as_dict(), columns, rows)
-    else:
-        write_json(path, {
-            "config": config.as_dict(),
-            "rows": [dict(zip(columns, row)) for row in rows],
-            "fit": None,
-        })
+    path = _write_output(config, columns, rows)
     print(f"wrote {path}")
     return 0
 

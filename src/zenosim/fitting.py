@@ -15,7 +15,6 @@ class PowerLawFit:
     slope: float
     intercept: float
     max_residual: float
-    points_used: int
 
 
 def fit_power_law(xs, ys, floor: float = NUMERICAL_FLOOR) -> PowerLawFit | None:
@@ -31,4 +30,4 @@ def fit_power_law(xs, ys, floor: float = NUMERICAL_FLOOR) -> PowerLawFit | None:
     lx, ly = np.log(xs[keep]), np.log(ys[keep])
     slope, intercept = np.polyfit(lx, ly, 1)
     residual = np.abs(ly - (slope * lx + intercept)).max()
-    return PowerLawFit(float(slope), float(intercept), float(residual), int(keep.sum()))
+    return PowerLawFit(float(slope), float(intercept), float(residual))

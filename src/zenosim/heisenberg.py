@@ -61,18 +61,6 @@ def controlled_flip(letter) -> DenseOperator:
     return DenseOperator(mat, (0, 1), hermitian=True, unitary=True)
 
 
-@dataclass(frozen=True)
-class ConditionalFlip:
-    """A controlled Pauli flip wired to concrete register qubits."""
-
-    control: int
-    target: int
-    letter: str
-
-    def operator(self) -> DenseOperator:
-        return controlled_flip(self.letter).retargeted((self.control, self.target))
-
-
 @dataclass
 class IdentityReport:
     identity: str

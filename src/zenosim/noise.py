@@ -191,7 +191,7 @@ def evolve_first_order(
     offset = _sys_env_offset(state, model.n)
     h = model.hamiltonian
     h = h.retargeted(tuple(q + offset - 2 for q in h.target_qubits))
-    out = StateVector(state.amplitudes + 1j * eps * apply(h, state).amplitudes, state.layout)
+    out = StateVector(state.amplitudes + 1j * eps * apply(h, state).amplitudes)
     return out.normalized() if renormalize else out
 
 

@@ -8,6 +8,8 @@ its own comment line and is the only thing allowed to differ).
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from datetime import datetime, timezone
 
@@ -26,13 +28,12 @@ def csv_lines(
     lines = ["# config: " + json.dumps(config, sort_keys=True)]
     if timestamp:
         lines.append("# generated: " + datetime.now(timezone.utc).isoformat())
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(
-            ",".join(
-                format_float(v) if isinstance(v, float) else str(v) for v in row
-            )
-        )
+    # the csv module quotes a text cell holding a comma; numeric cells never need it
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([format_float(v) if isinstance(v, float) else str(v) for v in row] for row in rows)
+    lines.extend(table.getvalue().removesuffix("\n").split("\n"))
     if fit is not None:
         lines.append("# fit: " + json.dumps(fit, sort_keys=True))
     return lines

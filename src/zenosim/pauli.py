@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContractViolation
+from .statevec import kron_all
 
 #: Single-qubit matrices indexed by label 0..3.
 PAULI_MATRICES = (
@@ -75,10 +76,7 @@ class PauliString:
 
     def matrix(self) -> np.ndarray:
         """Dense matrix; labels[0] sits on the least significant (lowest) qubit."""
-        out = np.array([[self.phase]], dtype=complex)
-        for a in self.labels:
-            out = np.kron(PAULI_MATRICES[a], out)
-        return out
+        return kron_all((PAULI_MATRICES[a] for a in self.labels), start=[[self.phase]])
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return pauli_multiply(self, other)

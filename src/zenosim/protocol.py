@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .fitting import PowerLawFit, fit_power_law
-from .noise import NoiseModel, noise_unitary, pair_unitaries, random_model
+from .noise import NoiseModel, noise_unitary, pair_unitaries
 from .pauli import PAULI_MATRICES
 from .statevec import (
     NORM_TOL,
@@ -37,11 +37,11 @@ from .statevec import (
     StateVector,
     apply,
     basis_state,
+    kron_all,
     overlap_probability,
     postselect,
     product_state,
     projection_probabilities,
-    protected_register,
     sample_outcome,
 )
 from .zeno_code import ZenoCode, check_system_state, decode, encode, prepare
@@ -115,8 +115,7 @@ class TwoTimeResult:
 
 
 def _attach_environment(state: StateVector, n: int) -> StateVector:
-    env = basis_state(n)
-    return product_state(state, env, layout=protected_register(n))
+    return product_state(state, basis_state(n))
 
 
 def _cycle_state(code: ZenoCode, state: StateVector, model: NoiseModel, epsilon: float) -> StateVector:
@@ -287,7 +286,7 @@ def zeno_run(
 
 def epsilon_sweep(
     code: ZenoCode,
-    model_or_seed,
+    model: NoiseModel,
     epsilons,
     psi: StateVector | None = None,
     observable: str = "failure",
@@ -295,10 +294,8 @@ def epsilon_sweep(
 ) -> SweepTable:
     """Exact single-cycle statistics across a strength grid, with a power-law fit.
 
-    `model_or_seed` is either a NoiseModel or an integer seed for a random
-    one.  Points whose observable sits at the numerical floor are excluded
-    from the fit; if too few remain the table carries a "floor" status and
-    no fit.
+    Points whose observable sits at the numerical floor are excluded from
+    the fit; if too few remain the table carries a "floor" status and no fit.
     """
     if observable not in ("failure", "infidelity"):
         raise ContractViolation(f"observable must be 'failure' or 'infidelity', got {observable!r}")
@@ -309,7 +306,6 @@ def epsilon_sweep(
         raise ContractViolation("sweep strengths must be finite and positive")
     if eps.max() / eps.min() < 10.0:
         raise ContractViolation("sweep must span at least one decade")
-    model = model_or_seed if isinstance(model_or_seed, NoiseModel) else random_model(code.n, int(model_or_seed))
     if psi is None:
         psi = basis_state(code.n)
     rows = []
@@ -332,9 +328,7 @@ def _comparison_basis(num_tests: int) -> np.ndarray:
     single = np.column_stack(
         [np.array([1, 1], dtype=complex) / np.sqrt(2), np.array([1, -1], dtype=complex) / np.sqrt(2)]
     )
-    basis = np.array([[1.0 + 0j]])
-    for _ in range(num_tests):
-        basis = np.kron(single, basis)
+    basis = kron_all([single] * num_tests)
     basis.flags.writeable = False
     return basis
 

@@ -21,9 +21,9 @@ from .statevec import (
     MeasurementResult,
     StateVector,
     apply,
+    kron_all,
     product_state,
     project_measure,
-    protected_register,
 )
 
 MAX_SYSTEM_QUBITS = 6
@@ -42,10 +42,7 @@ class ZenoCode:
 
 def branch_operator(letter: int, n: int) -> np.ndarray:
     """The letter applied to each of n qubits, as a dense 2^n matrix."""
-    out = np.array([[1.0 + 0j]])
-    for _ in range(n):
-        out = np.kron(PAULI_MATRICES[letter], out)
-    return out
+    return kron_all([PAULI_MATRICES[letter]] * n)
 
 
 def build_code(n: int) -> ZenoCode:
@@ -77,9 +74,7 @@ def check_system_state(code: ZenoCode, psi: StateVector) -> None:
 def prepare(code: ZenoCode, psi: StateVector) -> StateVector:
     """Place the ancilla in its uniform start state next to the system state."""
     check_system_state(code, psi)
-    return product_state(
-        code.in_state, psi, layout=protected_register(code.n, environment=False)
-    )
+    return product_state(code.in_state, psi)
 
 
 def encode(code: ZenoCode, state: StateVector) -> StateVector:

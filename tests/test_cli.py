@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 import zenosim
 from zenosim.cli import ExperimentConfig, _build_parser, main, parse_epsilons
 from zenosim.errors import ConfigError
+from zenosim.heisenberg import run_verification
 from zenosim.noise import model_to_dict, random_model, save_model, zero_model
 from zenosim.output import data_lines
 from zenosim.zeno_code import MAX_SYSTEM_QUBITS
@@ -57,6 +59,20 @@ def test_verify_subcommand_passes(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["all_pass"] is True
     assert {r["status"] for r in payload["reports"]} == {"pass"}
+
+
+def test_verify_csv_is_a_csv_table(tmp_path):
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--format", "csv", "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text.startswith("# config: ")
+    records = list(csv.reader(ln for ln in text.splitlines() if not ln.startswith("#")))
+    reports = run_verification()
+    assert records[0] == ["identity", "status", "max_defect", "note"]
+    assert len(records) == 1 + len(reports)
+    assert [r[1] for r in records[1:]] == ["pass"] * len(reports)
+    # notes hold commas; quoting keeps each one a single cell
+    assert [(r[0], r[3]) for r in records[1:]] == [(r.identity, r.note) for r in reports]
 
 
 def test_sweep_writes_csv_with_config_and_fit(tmp_path):

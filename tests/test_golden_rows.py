@@ -3,8 +3,8 @@
 `golden_rows.json` holds, per invocation, every line the CLI writes except the
 CSV `# generated:` timestamp, with the output path replaced by OUT.  A kernel
 change that moves any printed digit of a sweep row, its fit, or a two-time
-distribution fails here.  `verify` reports, the dense control, are pinned the
-same way.
+distribution fails here.  `verify` reports, the dense control, and `zeno` rows
+under both environment policies are pinned the same way.
 """
 
 import json
@@ -18,6 +18,7 @@ from zenosim.output import data_lines
 GOLDEN = Path(__file__).with_name("golden_rows.json")
 SWEEP_EPS = "1e-3..1e-1"
 TWOTIME_EPS = "1e-3,1e-2,1e-1"
+ZENO_ARGS = ["--total-eps", "0.2", "--k", "1,2,4", "--psi", "random-seeded"]
 
 
 def _invocations() -> dict:
@@ -34,6 +35,14 @@ def _invocations() -> dict:
                 ]
     for seed in (0, 7):
         runs[f"verify-s{seed}-json"] = ["verify", "--seed", str(seed), "--format", "json"]
+    for fmt in ("csv", "json"):
+        for seed in (0, 7):
+            for n in (1, 2, 4):
+                for policy in ("reset", "persist"):
+                    runs[f"zeno-n{n}-{policy}-s{seed}-{fmt}"] = [
+                        "zeno", "--n", str(n), "--seed", str(seed), "--psi-seed", str(seed),
+                        "--env-policy", policy, *ZENO_ARGS, "--format", fmt,
+                    ]
     return runs
 
 

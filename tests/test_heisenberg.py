@@ -3,7 +3,6 @@ import pytest
 
 from zenosim.errors import ContractViolation
 from zenosim.heisenberg import (
-    ConditionalFlip,
     ancilla_factor,
     ancilla_factor_expectation,
     conditioned_cycle_operator,
@@ -36,11 +35,6 @@ def test_controlled_flip_is_hermitian_unitary_involution():
 def test_controlled_flip_rejects_identity_letter():
     with pytest.raises(ContractViolation):
         controlled_flip("w")
-
-
-def test_conditional_flip_wiring():
-    flip = ConditionalFlip(control=0, target=2, letter="x")
-    assert flip.operator().target_qubits == (0, 2)
 
 
 @pytest.mark.parametrize("a", "xyz")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,17 @@ def test_multiplication_matches_dense_for_all_pairs():
             prod = pauli_multiply(PauliString((a,)), PauliString((b,)))
             dense = PAULI_MATRICES[a] @ PAULI_MATRICES[b]
             assert np.abs(prod.matrix() - dense).max() == 0.0
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2])
+def test_matrix_is_bitwise_the_explicit_kron_loop(num_qubits):
+    for labels in itertools.product(range(4), repeat=num_qubits):
+        for k in range(4):
+            word = PauliString(labels, k)
+            expected = np.array([[word.phase]], dtype=complex)
+            for a in labels:
+                expected = np.kron(PAULI_MATRICES[a], expected)
+            assert np.array_equal(word.matrix().view(np.uint64), expected.view(np.uint64))
 
 
 def test_x_times_x_is_identity():

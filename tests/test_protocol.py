@@ -245,16 +245,10 @@ def test_sweep_of_noiseless_model_reports_floor(code1):
     assert all(r.failure_probability <= 1e-13 for r in table.rows)
 
 
-def test_sweep_from_seed_fits_quadratic_failure(code1):
-    table = epsilon_sweep(code1, 7, list(EPS_GRID))
+def test_sweep_from_seed_fits_quadratic_failure(code1, model1):
+    table = epsilon_sweep(code1, model1, list(EPS_GRID))
     assert table.status == "ok"
     assert 1.95 <= table.fit.slope <= 2.05
-
-
-def test_sweep_accepts_model_or_seed(code1, model1):
-    from_seed = epsilon_sweep(code1, 7, list(EPS_GRID))
-    from_model = epsilon_sweep(code1, model1, list(EPS_GRID))
-    assert from_seed == from_model
 
 
 def test_doubling_coupling_norms_quadruples_failure(code1):

@@ -10,13 +10,13 @@ from zenosim.statevec import (
     basis_state,
     branch_vector,
     hermitian_exp,
+    kron_all,
     operator_on_register,
     overlap_probability,
     postselect,
     product_state,
     projection_probabilities,
     project_measure,
-    protected_register,
     random_state,
     reduced_density_matrix,
 )
@@ -32,14 +32,27 @@ def random_unitary(dim, seed):
     return q
 
 
-def test_register_blocks():
-    reg = protected_register(3)
-    assert reg.num_qubits == 8
-    assert reg.qubits("ancilla") == (0, 1)
-    assert reg.qubits("system") == (2, 3, 4)
-    assert reg.qubits("environment") == (5, 6, 7)
-    with pytest.raises(KeyError):
-        reg.qubits("nope")
+@pytest.mark.parametrize("n", range(1, 6))
+def test_kron_all_puts_each_block_above_the_blocks_before_it(n):
+    start = 0.5 - 2j
+    matrices = [random_matrix(2, 10 * n + j) for j in range(n)]
+    vectors = [random_matrix(2, 20 * n + j)[0] for j in range(n)]
+    mat = kron_all(matrices, start=[[start]])
+    vec = kron_all(vectors, start=[start])
+    assert mat.shape == (2**n, 2**n) and vec.shape == (2**n,)
+    expected_mat = np.empty_like(mat)
+    expected_vec = np.empty_like(vec)
+    for r in range(2**n):  # block j reads bit j of the index
+        expected_vec[r] = start * np.prod([v[(r >> j) & 1] for j, v in enumerate(vectors)])
+        for c in range(2**n):
+            expected_mat[r, c] = start * np.prod(
+                [m[(r >> j) & 1, (c >> j) & 1] for j, m in enumerate(matrices)]
+            )
+    np.testing.assert_allclose(mat, expected_mat, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(vec, expected_vec, rtol=1e-14, atol=0)
+    # the default start is a complex 1, which leaves every product bit unchanged
+    assert np.array_equal(kron_all(matrices), kron_all(matrices, start=[[1.0 + 0j]]))
+    assert kron_all([]).dtype == complex and kron_all([]).tolist() == [[1.0]]
 
 
 def test_statevector_rejects_bad_length():
