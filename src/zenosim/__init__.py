@@ -2,10 +2,7 @@
 
 from .errors import ConfigError, ContractViolation
 from .pauli import (
-    CoefficientTable,
-    EncoderConjugation,
     PauliString,
-    coefficient_table,
     conjugate_by_encoder,
     conjugation_sign,
     pauli_multiply,
@@ -58,6 +55,7 @@ from .heisenberg import (
     ancilla_factor_expectation,
     controlled_flip,
     effective_noise_check,
+    encoder_matrix,
     flip_product_encoder,
     run_verification,
     verify_encoder_conjugations,

@@ -34,7 +34,7 @@ from .statevec import (
     projection_probabilities,
     random_state,
 )
-from .zeno_code import build_code
+from .zeno_code import branch_operator
 
 LETTERS = {"x": 1, "y": 2, "z": 3}
 _I2 = np.eye(2, dtype=complex)
@@ -50,6 +50,18 @@ def _letter(a) -> int:
     if a in (1, 2, 3):
         return a
     raise ContractViolation(f"flip letter must be one of x, y, z, got {a!r}")
+
+
+def encoder_matrix(n: int) -> np.ndarray:
+    """The encoder as a dense 2^(n+2) matrix on [ancilla | n system qubits], a reference value.
+
+    Production applies it as four branch words (`zeno_code.encode`).
+    """
+    mat = np.zeros((2 ** (n + 2), 2 ** (n + 2)), dtype=complex)
+    for a in range(4):
+        # ancilla value a occupies the two low bits of the register index
+        mat[a::4, a::4] = branch_operator(a, n)
+    return mat
 
 
 def controlled_flip(letter) -> DenseOperator:
@@ -198,8 +210,7 @@ def conditioned_cycle_operator(model: NoiseModel, epsilon: float) -> np.ndarray:
     """
     if model.n != 1:
         raise ContractViolation("the conditioned-operator check is defined for n = 1")
-    code = build_code(1)
-    enc = operator_on_register(code.encoder.matrix, (0, 1, 2), 4)
+    enc = operator_on_register(encoder_matrix(1), (0, 1, 2), 4)
     noi = operator_on_register(noise_unitary(model, epsilon).matrix, (2, 3), 4)
     full = enc @ noi @ enc
     blocks = full.reshape(4, 4, 4, 4)  # [rest', anc', rest, anc]
@@ -242,8 +253,7 @@ def verify_flip_product_equivalence(seed: int = 11) -> IdentityReport:
     are: identical no-error probability, and identical syndrome
     distributions once outcomes 1 and 3 are swapped.
     """
-    code = build_code(1)
-    canonical = code.encoder.matrix
+    canonical = encoder_matrix(1)
     flips = flip_product_encoder()
     model = random_model(1, seed)
     worst = 0.0
@@ -318,18 +328,17 @@ def _syndrome_basis_report() -> IdentityReport:
 def _encoder_conjugation_report(max_n: int = 4) -> IdentityReport:
     worst = 0.0
     for n in range(1, max_n + 1):
-        code = build_code(n)
-        cmat = code.encoder.matrix
+        cmat = encoder_matrix(n)
         m = n + 2
         inv = np.abs(cmat @ cmat - np.eye(2**m)).max()
         worst = max(worst, float(inv))
         for b in range(4):
             for j in range(n):
                 word = PauliString.single(n, j, b)
-                sym = conjugate_by_encoder(n, word)
+                diagonal = conjugate_by_encoder(n, word)
                 dense = cmat @ operator_on_register(PAULI_MATRICES[b], (2 + j,), m) @ cmat
                 rhs = operator_on_register(
-                    np.diag(np.array(sym.ancilla_diagonal, dtype=complex)), (0, 1), m
+                    np.diag(np.array(diagonal, dtype=complex)), (0, 1), m
                 ) @ operator_on_register(PAULI_MATRICES[b], (2 + j,), m)
                 worst = max(worst, float(np.abs(dense - rhs).max()))
     return _report("encoder-conjugation", worst, note=f"system sizes 1..{max_n}, all letters and positions")

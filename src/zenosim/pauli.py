@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -107,68 +106,27 @@ def conjugation_sign(a: int, b: int) -> int:
     return 1 if a == 0 or b == 0 or a == b else -1
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """The 4x4 table of conjugation signs, rows indexed by a, columns by b.
-
-    Column b records how each ancilla branch reacts to a letter-b error;
-    the columns are mutually orthogonal and generate the syndrome basis.
-    """
-
-    signs: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls) -> "CoefficientTable":
-        rows = tuple(
-            tuple(conjugation_sign(a, b) for b in range(4)) for a in range(4)
-        )
-        return cls(rows)
-
-    def sign(self, a: int, b: int) -> int:
-        _check_label(a)
-        _check_label(b)
-        return self.signs[a][b]
-
-    def column(self, b: int) -> np.ndarray:
-        _check_label(b)
-        return np.array([self.signs[a][b] for a in range(4)], dtype=float)
-
-
-@lru_cache(maxsize=1)
-def coefficient_table() -> CoefficientTable:
-    return CoefficientTable.build()
-
-
 def syndrome_state(b: int) -> np.ndarray:
-    """Unit ancilla 4-vector flagged by a letter-b error.
+    """Unit ancilla 4-vector flagged by a letter-b error: entry a is conjugation_sign(a, b) / 2.
 
     b=0 gives the uniform vector the ancilla is prepared in; the four
     vectors form an orthonormal basis of the ancilla space.
     """
-    return 0.5 * coefficient_table().column(b)
+    return 0.5 * np.array([conjugation_sign(a, b) for a in range(4)], dtype=float)
 
 
-@dataclass(frozen=True)
-class EncoderConjugation:
-    """Result of pushing a system word through the entangling encoder."""
-
-    ancilla_diagonal: tuple[int, int, int, int]
-    system_string: PauliString
-
-
-def conjugate_by_encoder(n: int, p: PauliString) -> EncoderConjugation:
+def conjugate_by_encoder(n: int, p: PauliString) -> tuple[int, int, int, int]:
     """Sandwich a system Pauli word between two copies of the encoder.
 
     The word itself is unchanged; each ancilla branch a picks up the
     product of the conjugation signs of the word's letters, so the result
-    splits into a +-1 ancilla diagonal times the original word.
+    is the word times this +-1 ancilla diagonal.
     """
     if p.num_qubits != n:
         raise ContractViolation(
             f"word acts on {p.num_qubits} qubits but the code has {n} system qubits"
         )
-    diagonal = tuple(
+    return tuple(
         math.prod(conjugation_sign(a, b) for b in p.labels if b != 0)
         for a in range(4)
     )
-    return EncoderConjugation(diagonal, p)

@@ -5,12 +5,14 @@ measurement.  All reported statistics are exact Born probabilities on the
 postselected (no-error) branch; sampling is layered on top purely for
 realism and is always seeded.
 
-Single cycles, sweeps and the two-time protocol evolve the full dense
-ancilla|system|environment register.  Repeated-measurement runs never
-build it.  The noise factorizes as exp(i eps H) = (x)_i V_i over (system i,
-environment i) pairs, and the encoder is sum_a |a><a| (x) sigma_a^(x)n, so
-the syndrome-b branch of one cycle is 1/4 sum_a chi_b(a) (x)_i sigma_a V_i
-sigma_a, with chi_b(a) the conjugation sign of `coefficient_table()`.
+Single cycles, sweeps and the two-time protocol evolve the full
+ancilla|system|environment state vector under the dense noise unitary;
+the encoder acts on it as four branch words.  Repeated-measurement runs
+never build that state.  The noise factorizes as exp(i eps H) = (x)_i V_i
+over (system i, environment i) pairs, and the encoder is
+sum_a |a><a| (x) sigma_a^(x)n, so the syndrome-b branch of one cycle is
+1/4 sum_a chi_b(a) (x)_i sigma_a V_i sigma_a, with chi_b(a) =
+`conjugation_sign(a, b)`, twice the syndrome basis entry [a, b].
 
 Repeated-measurement runs split the total noise strength over k cycles.
 Under the default "reset" policy each cycle sees a fresh environment: the
@@ -159,7 +161,7 @@ def single_cycle(
 
 def _branch_signs(code: ZenoCode) -> np.ndarray:
     """chi_b(a) / 4 indexed [b, a]: the syndrome-b branch weights of the four encoder branches."""
-    return np.array(code.coefficients.signs, dtype=float).T / 4
+    return code.syndrome_basis.T.real / 2
 
 
 def _branch_factors(model: NoiseModel, epsilon: float) -> np.ndarray:
@@ -267,7 +269,7 @@ def zeno_run(
         raise ContractViolation(f"noise model has n={model.n} but code has n={code.n}")
     if psi is None:
         psi = basis_state(code.n)
-    check_system_state(code, psi)
+    check_system_state(code.n, psi)
     eps_c = total_epsilon / cycles
     rng = np.random.default_rng(rng_seed)
     runner = _reset_policy_run if env_policy == "reset" else _persist_policy_run
@@ -322,6 +324,10 @@ def _plus_state() -> np.ndarray:
     return np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
+#: System counts the two-time protocol supports.
+TWO_TIME_SYSTEMS = (1, 2)
+
+
 @cache
 def _comparison_basis(num_tests: int) -> np.ndarray:
     """Outcome basis: each test qubit read out as unchanged (+) or flipped (-); read-only, built once."""
@@ -365,12 +371,11 @@ def two_time_protocol(
     first pair's, giving the 4 x 4 joint outcome grid.
     """
     n = disturbance.n
-    if n not in (1, 2):
+    if n not in TWO_TIME_SYSTEMS:
         raise ContractViolation("the two-time protocol is implemented for 1 or 2 systems")
     if psi is None:
         psi = basis_state(n)
-    if psi.num_qubits != n:
-        raise ContractViolation(f"system state has {psi.num_qubits} qubits, expected {n}")
+    check_system_state(n, psi)
     num_tests = 2 * n
     plus = _plus_state()
     start = product_state(*([plus] * num_tests), psi, basis_state(n).amplitudes)

@@ -288,19 +288,10 @@ def project_measure(state: StateVector, targets, basis, rng_seed: int) -> Measur
     needing exact statistics never have to sample.
     """
     targets = tuple(targets)
-    k = len(targets)
-    basis = _check_basis(basis, k)
-    m = state.num_qubits
-    block = _split_targets(state, targets)
-    amps = block @ basis.conj()
-    probs = (np.abs(amps) ** 2).sum(axis=0)
+    probs = projection_probabilities(state, targets, basis)
     outcome = sample_outcome(np.random.default_rng(rng_seed), probs)
-    p = float(probs[outcome])
-    if not p > 0.0:
-        raise ContractViolation("sampled an outcome with zero probability")
-    post = np.outer(amps[:, outcome], basis[:, outcome]) / np.sqrt(p)
-    post_state = StateVector(_merge_targets(post, targets, m))
-    return MeasurementResult(outcome, p, post_state, probs)
+    _, post_state = postselect(state, targets, np.asarray(basis, dtype=complex)[:, outcome])
+    return MeasurementResult(outcome, float(probs[outcome]), post_state, probs)
 
 
 def branch_vector(state: StateVector, targets, vector) -> StateVector:

@@ -1,11 +1,13 @@
 """The two-ancilla error-prevention code.
 
 The encoder entangles a 2-qubit ancilla with n system qubits: on ancilla
-branch a it applies the letter-a Pauli to every system qubit.  It is a
-Hermitian unitary involution, so decoding reuses the same operator.  A
-single-letter error rotates the uniformly prepared ancilla into one of
-four orthogonal syndrome states, which a projective ancilla measurement
-then distinguishes; outcome 0 means "no error detected".
+branch a it applies the letter-a Pauli to every system qubit.  That word
+is a signed permutation of the system index, so each branch is applied as
+a gather plus a phase multiply; the dense 2^(n+2) matrix is a reference
+value in `heisenberg`.  Each word is an involution, so decoding reuses the
+encoder.  A single-letter error rotates the uniformly prepared ancilla
+into one of four orthogonal syndrome states, which a projective ancilla
+measurement then distinguishes; outcome 0 means "no error detected".
 """
 
 from __future__ import annotations
@@ -15,16 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .pauli import PAULI_MATRICES, CoefficientTable, coefficient_table, syndrome_state
-from .statevec import (
-    DenseOperator,
-    MeasurementResult,
-    StateVector,
-    apply,
-    kron_all,
-    product_state,
-    project_measure,
-)
+from .pauli import PAULI_MATRICES, syndrome_state
+from .statevec import MeasurementResult, StateVector, kron_all, product_state, project_measure
 
 MAX_SYSTEM_QUBITS = 6
 
@@ -34,10 +28,10 @@ class ZenoCode:
     """Everything fixed by the choice of system size n."""
 
     n: int
-    encoder: DenseOperator          # acts on qubits 0..n+1 (ancilla | system)
+    sources: np.ndarray             # (4, 2^n): branch a sends input sources[a, s] to output s...
+    phases: np.ndarray              # (4, 2^n): ...times phases[a, s]
     in_state: np.ndarray            # uniform ancilla 4-vector
     syndrome_basis: np.ndarray      # column b flags a letter-b error
-    coefficients: CoefficientTable
 
 
 def branch_operator(letter: int, n: int) -> np.ndarray:
@@ -46,26 +40,37 @@ def branch_operator(letter: int, n: int) -> np.ndarray:
 
 
 def build_code(n: int) -> ZenoCode:
-    """Construct the encoder and ancilla data for n system qubits."""
+    """Read the encoder's branch words, and the ancilla data, for n system qubits.
+
+    Each word is checked exactly, with no tolerance: every row has one
+    nonzero entry, of modulus 1, and the word is an involution,
+    sources[sources] = s and phases * phases[sources] = 1.  So each branch
+    is unitary and self-inverse, and `decode` may reuse `encode`.
+    """
     if not isinstance(n, int) or not 1 <= n <= MAX_SYSTEM_QUBITS:
         raise ContractViolation(
             f"system size must be an integer in 1..{MAX_SYSTEM_QUBITS}, got {n!r}"
         )
-    dim = 2 ** (n + 2)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for a in range(4):
-        # ancilla value a occupies the two low bits of the register index
-        mat[a::4, a::4] = branch_operator(a, n)
-    encoder = DenseOperator(mat, tuple(range(n + 2)), hermitian=True, unitary=True)
+    words = np.stack([branch_operator(a, n) for a in range(4)])
+    sources = np.argmax(np.abs(words), axis=2)
+    phases = np.take_along_axis(words, sources[..., None], axis=2)[..., 0]
+    if not (
+        (np.count_nonzero(words, axis=2) == 1).all()
+        and (np.abs(phases) == 1).all()
+        and (np.take_along_axis(sources, sources, axis=1) == np.arange(2**n)).all()
+        and (phases * np.take_along_axis(phases, sources, axis=1) == 1).all()
+    ):
+        raise ContractViolation("an encoder branch is not a unit-phase involutive Pauli word")
+    sources.flags.writeable = phases.flags.writeable = False
     basis = np.column_stack([syndrome_state(b) for b in range(4)])
-    return ZenoCode(n, encoder, syndrome_state(0), basis, coefficient_table())
+    return ZenoCode(n, sources, phases, syndrome_state(0), basis)
 
 
-def check_system_state(code: ZenoCode, psi: StateVector) -> None:
-    """Reject a system state of the wrong size or norm."""
-    if psi.num_qubits != code.n:
+def check_system_state(n: int, psi: StateVector) -> None:
+    """Reject a system state that is not a normalized state of n qubits."""
+    if psi.num_qubits != n:
         raise ContractViolation(
-            f"system state has {psi.num_qubits} qubits, code expects {code.n}"
+            f"system state has {psi.num_qubits} qubits, expected {n}"
         )
     if not abs(psi.norm() - 1.0) <= 1e-9:
         raise ContractViolation("system state must be normalized")
@@ -73,21 +78,27 @@ def check_system_state(code: ZenoCode, psi: StateVector) -> None:
 
 def prepare(code: ZenoCode, psi: StateVector) -> StateVector:
     """Place the ancilla in its uniform start state next to the system state."""
-    check_system_state(code, psi)
+    check_system_state(code.n, psi)
     return product_state(code.in_state, psi)
 
 
 def encode(code: ZenoCode, state: StateVector) -> StateVector:
-    """Apply the encoder on the ancilla+system block; extra qubits pass through."""
+    """Apply the encoder on the ancilla+system block; extra qubits pass through.
+
+    Output amplitude [rest, s, a] is input [rest, sources[a, s], a] times
+    phases[a, s]: one exact product, as in the dense encoder's single
+    nonzero entry per row, so every nonzero amplitude keeps its bits.
+    """
     if state.num_qubits < code.n + 2:
         raise ContractViolation(
             f"state has {state.num_qubits} qubits; need at least {code.n + 2}"
         )
-    return apply(code.encoder, state)
+    blocks = state.amplitudes.reshape(-1, 2**code.n, 4)  # the ancilla is on the two low bits
+    return StateVector(blocks[:, code.sources.T, np.arange(4)] * code.phases.T)
 
 
 def decode(code: ZenoCode, state: StateVector) -> StateVector:
-    """The encoder is an involution, so decoding is a second application."""
+    """Each branch word is an involution (checked in build_code), so decoding is a second application."""
     return encode(code, state)
 
 

@@ -4,8 +4,10 @@
 `dense_build_hamiltonian` is the kron builder `noise.build_hamiltonian`
 replaced; the production builder must reproduce it bit for bit.
 
-In `dense_zeno_run` each cycle applies the 2^(n+2) encoder, the 4^n noise exponential and the
-encoder again to the whole register, then reads the ancilla.  The reset
+In `dense_zeno_run` each cycle applies the dense 2^(n+2) encoder
+(`heisenberg.encoder_matrix`, not production's branch words), the 4^n
+noise exponential and the encoder again to the whole register, then reads
+the ancilla.  The reset
 policy reruns every eigenvector of the system's density matrix as a pure
 state with a fresh environment; persist carries one pure state.  The noise
 exponential is built once per run, since the strength per cycle is fixed.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from zenosim.heisenberg import encoder_matrix
 from zenosim.noise import noise_unitary
 from zenosim.pauli import PAULI_MATRICES
 from zenosim.protocol import CycleResult, RunResult
@@ -31,7 +34,7 @@ from zenosim.statevec import (
     projection_probabilities,
     sample_outcome,
 )
-from zenosim.zeno_code import decode, encode, prepare
+from zenosim.zeno_code import prepare
 
 
 def dense_build_hamiltonian(model) -> DenseOperator:
@@ -49,8 +52,8 @@ def dense_build_hamiltonian(model) -> DenseOperator:
     return DenseOperator(h, tuple(range(2, 2 * n + 2)), hermitian=True)
 
 
-def _cycle_state(code, state, unitary):
-    return decode(code, apply(unitary, encode(code, state)))
+def _cycle_state(encoder, state, unitary):
+    return apply(encoder, apply(unitary, apply(encoder, state)))
 
 
 def _cycle_result(probs, fidelity, rng) -> CycleResult:
@@ -58,7 +61,7 @@ def _cycle_result(probs, fidelity, rng) -> CycleResult:
     return CycleResult(p0, float(fidelity), float(1.0 - p0), tuple(float(p) for p in probs), sample_outcome(rng, probs))
 
 
-def _reset_run(code, unitary, cycles, psi, rng):
+def _reset_run(code, encoder, unitary, cycles, psi, rng):
     n = code.n
     dim = 2**n
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
@@ -71,7 +74,7 @@ def _reset_run(code, unitary, cycles, psi, rng):
             if w < 1e-14:
                 continue
             pure = product_state(code.in_state, v, basis_state(n).amplitudes)
-            out = _cycle_state(code, pure, unitary)
+            out = _cycle_state(encoder, pure, unitary)
             probs += w * projection_probabilities(out, (0, 1), code.syndrome_basis)
             rest = branch_vector(out, (0, 1), code.in_state).amplitudes
             block = rest.reshape(dim, dim)  # environment index above system index
@@ -82,12 +85,12 @@ def _reset_run(code, unitary, cycles, psi, rng):
     return results
 
 
-def _persist_run(code, unitary, cycles, psi, rng):
+def _persist_run(code, encoder, unitary, cycles, psi, rng):
     reference = prepare(code, psi)
     state = product_state(reference, basis_state(code.n))
     results = []
     for _ in range(cycles):
-        state = _cycle_state(code, state, unitary)
+        state = _cycle_state(encoder, state, unitary)
         probs = projection_probabilities(state, (0, 1), code.syndrome_basis)
         _, state = postselect(state, (0, 1), code.in_state)
         results.append(_cycle_result(probs, overlap_probability(state, reference), rng))
@@ -99,10 +102,11 @@ def dense_zeno_run(code, model, total_epsilon, cycles, env_policy="reset", rng_s
     if psi is None:
         psi = basis_state(code.n)
     eps_c = total_epsilon / cycles
+    encoder = DenseOperator(encoder_matrix(code.n), tuple(range(code.n + 2)))
     unitary = noise_unitary(model, eps_c)
     rng = np.random.default_rng(rng_seed)
     runner = _reset_run if env_policy == "reset" else _persist_run
-    per_cycle = runner(code, unitary, cycles, psi, rng)
+    per_cycle = runner(code, encoder, unitary, cycles, psi, rng)
     cumulative = float(np.prod([c.success_probability for c in per_cycle]))
     return RunResult(
         cycles=cycles,

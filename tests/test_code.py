@@ -1,9 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import zenosim.zeno_code
 from zenosim.errors import ContractViolation
+from zenosim.heisenberg import encoder_matrix
 from zenosim.pauli import PAULI_MATRICES, PauliString, conjugate_by_encoder, syndrome_state
 from zenosim.statevec import (
+    DenseOperator,
+    apply,
     basis_state,
     operator_on_register,
     overlap_probability,
@@ -11,6 +17,10 @@ from zenosim.statevec import (
     random_state,
 )
 from zenosim.zeno_code import branch_operator, build_code, decode, encode, prepare, syndrome_measure
+
+
+def _bits(state):
+    return state.amplitudes.view(np.uint64)
 
 
 def assemble_encoder_independently(n):
@@ -29,13 +39,12 @@ def assemble_encoder_independently(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_encoder_matches_independent_assembly(n):
-    code = build_code(n)
-    assert np.abs(code.encoder.matrix - assemble_encoder_independently(n)).max() < 1e-12
+    assert np.abs(encoder_matrix(n) - assemble_encoder_independently(n)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_encoder_is_hermitian_unitary_involution(n):
-    c = build_code(n).encoder.matrix
+    c = encoder_matrix(n)
     dim = c.shape[0]
     assert np.abs(c - c.conj().T).max() < 1e-12
     assert np.abs(c.conj().T @ c - np.eye(dim)).max() < 1e-12
@@ -44,13 +53,13 @@ def test_encoder_is_hermitian_unitary_involution(n):
 
 def test_encoder_entries_for_two_qubits():
     # <a, s'|C|a, s> reduces to the doubled single-letter matrix element
-    code = build_code(2)
+    cmat = encoder_matrix(2)
     rng = np.random.default_rng(6)
     for a in range(4):
         doubled = np.kron(PAULI_MATRICES[a], PAULI_MATRICES[a])
         for _ in range(5):
             s, sp = rng.integers(0, 4, size=2)
-            entry = code.encoder.matrix[a + 4 * sp, a + 4 * s]
+            entry = cmat[a + 4 * sp, a + 4 * s]
             assert entry == pytest.approx(doubled[sp, s])
 
 
@@ -91,13 +100,15 @@ def test_encoded_state_expansion(n):
     assert np.allclose(weights, 0.25)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 7))
 def test_decode_inverts_encode(n):
+    # bit for bit: each word is an involution with phases * phases[sources] = 1 exactly
     code = build_code(n)
     for seed in range(3):
-        state = random_state(n + 2, seed)
-        roundtrip = decode(code, encode(code, state))
-        assert np.abs(roundtrip.amplitudes - state.amplitudes).max() < 1e-12
+        for m in (n + 2, 2 * n + 2):
+            state = random_state(m, seed)
+            roundtrip = decode(code, encode(code, state))
+            assert np.array_equal(_bits(roundtrip), _bits(state))
 
 
 def test_encode_passes_environment_through():
@@ -155,24 +166,20 @@ def test_distinct_letters_give_orthogonal_outcomes_regardless_of_position():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_symbolic_conjugation_matches_dense_everywhere(n):
-    code = build_code(n)
-    cmat = code.encoder.matrix
+    cmat = encoder_matrix(n)
     m = n + 2
     for b in range(4):
         for j in range(n):
             dense = cmat @ operator_on_register(PAULI_MATRICES[b], (2 + j,), m) @ cmat
             sym = conjugate_by_encoder(n, PauliString.single(n, j, b))
-            diag = operator_on_register(
-                np.diag(np.array(sym.ancilla_diagonal, dtype=complex)), (0, 1), m
-            )
+            diag = operator_on_register(np.diag(np.array(sym, dtype=complex)), (0, 1), m)
             rhs = diag @ operator_on_register(PAULI_MATRICES[b], (2 + j,), m)
             assert np.abs(dense - rhs).max() < 1e-12
 
 
 def test_symbolic_conjugation_matches_dense_for_multi_letter_words():
     n = 2
-    code = build_code(n)
-    cmat = code.encoder.matrix
+    cmat = encoder_matrix(n)
     m = n + 2
     rng = np.random.default_rng(14)
     for _ in range(10):
@@ -181,9 +188,7 @@ def test_symbolic_conjugation_matches_dense_for_multi_letter_words():
         full_word = operator_on_register(word.matrix(), (2, 3), m)
         dense = cmat @ full_word @ cmat
         sym = conjugate_by_encoder(n, word)
-        diag = operator_on_register(
-            np.diag(np.array(sym.ancilla_diagonal, dtype=complex)), (0, 1), m
-        )
+        diag = operator_on_register(np.diag(np.array(sym, dtype=complex)), (0, 1), m)
         assert np.abs(dense - diag @ full_word).max() < 1e-12
 
 
@@ -191,3 +196,57 @@ def test_code_in_state_is_syndrome_zero():
     code = build_code(1)
     assert np.allclose(code.in_state, syndrome_state(0))
     assert np.allclose(code.syndrome_basis[:, 0], code.in_state)
+
+
+def _dense_encode(n, state):
+    return apply(DenseOperator(encoder_matrix(n), tuple(range(n + 2))), state)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("extra", ["none", "n"])
+def test_encode_is_bitwise_the_dense_encoder(n, extra):
+    # every row of the dense encoder has one nonzero entry, +-1 or +-i, so each
+    # amplitude of the dense product is one exact product plus exact zeros
+    code = build_code(n)
+    m = n + 2 + (n if extra == "n" else 0)
+    for seed in range(3):
+        state = random_state(m, seed=100 * n + seed)
+        assert np.array_equal(_bits(encode(code, state)), _bits(_dense_encode(n, state)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_encode_of_the_sweep_start_state_is_bitwise_the_dense_encoder(n):
+    # the start state |ancilla>|psi>|0...0> has exact zeros; the sign of a zero
+    # sum depends on the BLAS kernel, so both sides map -0.0 to +0.0 first
+    code = build_code(n)
+    for psi in (basis_state(n), random_state(n, seed=n)):
+        start = product_state(prepare(code, psi), basis_state(n))
+        fast, dense = encode(code, start), _dense_encode(n, start)
+        assert np.array_equal((fast.amplitudes + 0.0).view(np.uint64), (dense.amplitudes + 0.0).view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        np.roll(np.eye(4, dtype=complex), 1, axis=1),  # a 4-cycle: a permutation, not an involution
+        1j * np.kron(PAULI_MATRICES[1], PAULI_MATRICES[1]),  # i XX squares to -1
+        2 * np.kron(PAULI_MATRICES[1], PAULI_MATRICES[1]),  # phase of modulus 2
+        np.exp(0.3j) * np.kron(PAULI_MATRICES[3], PAULI_MATRICES[0]),  # squares to exp(0.6i)
+        np.kron(PAULI_MATRICES[1], PAULI_MATRICES[0]) + np.eye(4),  # two entries per row
+    ],
+)
+def test_build_code_rejects_a_bad_branch_word(monkeypatch, word):
+    monkeypatch.setattr(zenosim.zeno_code, "branch_operator", lambda letter, n: word)
+    with pytest.raises(ContractViolation, match="branch"):
+        build_code(2)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_code_holds_no_full_register_array(n):
+    # the branch words are 4 x 2^n; the ancilla data is at most 4 x 4
+    code = build_code(n)
+    arrays = [f.name for f in dataclasses.fields(code) if isinstance(getattr(code, f.name), np.ndarray)]
+    assert arrays
+    for name in arrays:
+        assert getattr(code, name).size <= max(4 * 2**n, 16), name
+    assert code.sources.shape == code.phases.shape == (4, 2**n)

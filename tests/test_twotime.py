@@ -4,10 +4,10 @@ import pytest
 import zenosim.protocol
 from zenosim.errors import ContractViolation
 from zenosim.fitting import fit_power_law
-from zenosim.heisenberg import controlled_flip
+from zenosim.heisenberg import controlled_flip, encoder_matrix
 from zenosim.noise import noise_unitary, random_model, zero_model
 from zenosim.protocol import SYNDROME_TO_TWO_TIME, single_cycle, two_time_protocol
-from zenosim.statevec import basis_state, operator_on_register, random_state
+from zenosim.statevec import StateVector, basis_state, operator_on_register, random_state
 from zenosim.zeno_code import build_code
 
 EPS_GRID = np.geomspace(1e-3, 3e-2, 8)
@@ -52,6 +52,13 @@ def test_rejects_more_than_two_systems():
         two_time_protocol(random_model(3, seed=1), 1e-2, rng_seed=0)
     with pytest.raises(ContractViolation):
         two_time_protocol(random_model(1, seed=1), 1e-2, rng_seed=0, psi=basis_state(2))
+
+
+def test_rejects_an_unnormalized_state():
+    # without the check, psi = (2, 0) gave "probabilities" summing to 4
+    for n, psi in ((1, np.array([2.0, 0.0])), (2, np.full(4, 0.6))):
+        with pytest.raises(ContractViolation, match="normalized"):
+            two_time_protocol(random_model(n, seed=1), 1e-2, rng_seed=0, psi=StateVector(psi))
 
 
 def test_disturbed_other_outcome_mass_is_quadratic():
@@ -124,7 +131,7 @@ def test_shared_pair_coupling_to_two_systems_matches_the_code_conditioning():
     shared_pair_cond = np.einsum("a,xayb,b->xy", bra.conj(), blocks, bra)
 
     code = build_code(2)
-    enc = operator_on_register(code.encoder.matrix, (0, 1, 2, 3), 6)
+    enc = operator_on_register(encoder_matrix(2), (0, 1, 2, 3), 6)
     noi = operator_on_register(noise_unitary(model, eps).matrix, (2, 3, 4, 5), 6)
     full = enc @ noi @ enc
     code_blocks = full.reshape(16, 4, 16, 4)
