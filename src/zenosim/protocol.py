@@ -5,10 +5,12 @@ measurement.  All reported statistics are exact Born probabilities on the
 postselected (no-error) branch; sampling is layered on top purely for
 realism and is always seeded.
 
-Single cycles, sweeps and the two-time protocol evolve the full
-ancilla|system|environment state vector under the dense noise unitary;
-the encoder acts on it as four branch words.  Repeated-measurement runs
-never build that state.  The noise factorizes as exp(i eps H) = (x)_i V_i
+Single cycles and sweeps evolve the full ancilla|system|environment state
+vector under the dense noise unitary; the encoder acts on it as four
+branch words.  The two-time protocol applies its controlled flips as two
+signed-permutation words, one before and one after the disturbance
+window, so only its noise is dense.  Repeated-measurement runs never
+build the full state.  The noise factorizes as exp(i eps H) = (x)_i V_i
 over (system i, environment i) pairs, and the encoder is
 sum_a |a><a| (x) sigma_a^(x)n, so the syndrome-b branch of one cycle is
 1/4 sum_a chi_b(a) (x)_i sigma_a V_i sigma_a, with chi_b(a) =
@@ -45,6 +47,7 @@ from .statevec import (
     product_state,
     projection_probabilities,
     sample_outcome,
+    signed_permutation,
 )
 from .zeno_code import ZenoCode, check_system_state, decode, encode, prepare
 from .heisenberg import controlled_flip
@@ -164,14 +167,18 @@ def _branch_signs(code: ZenoCode) -> np.ndarray:
     return code.syndrome_basis.T.real / 2
 
 
+#: sigma_a on the system (low) bit of a (system, environment) pair, shape (4, 1, 4, 4); read-only.
+_PAIR_FLIPS = np.stack([kron_all([np.eye(2)], start=p) for p in PAULI_MATRICES])[:, None]
+_PAIR_FLIPS.flags.writeable = False
+
+
 def _branch_factors(model: NoiseModel, epsilon: float) -> np.ndarray:
     """W[a, i] = sigma_a V_i sigma_a with sigma_a on system i, shape (4, n, 4, 4).
 
     The encoder is sum_a |a><a| (x) sigma_a^(x)n, so on ancilla branch a the
     encode-noise-decode sandwich is the product of these pair factors.
     """
-    flips = np.stack([np.kron(np.eye(2), p) for p in PAULI_MATRICES])[:, None]
-    return flips @ pair_unitaries(model, epsilon)[None] @ flips
+    return _PAIR_FLIPS @ pair_unitaries(model, epsilon)[None] @ _PAIR_FLIPS
 
 
 def kraus_operators(code: ZenoCode, model: NoiseModel, epsilon: float) -> np.ndarray:
@@ -355,6 +362,51 @@ def _two_time_gates(n: int) -> tuple[tuple[DenseOperator, ...], tuple[DenseOpera
     return pre, post
 
 
+def _sequence_word(gates, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """One read-only (sources, phases) word on the register for `gates` applied in order.
+
+    Each gate's 4x4 word is lifted by index arithmetic on its target bits:
+    out[j] = p_g[j] * prev[s_g[j]], so the running word becomes
+    (sources[s_g], p_g * phases[s_g]).  Every phase is a product of 1 and
+    +-i, so it is exact.
+    """
+    index = np.arange(2**num_qubits)
+    sources, phases = index, np.ones(index.size, dtype=complex)
+    for gate in gates:
+        gate_sources, gate_phases = signed_permutation(gate.matrix, "a two-time flip")
+        targets = gate.target_qubits
+        local = sum(((index >> q) & 1) << t for t, q in enumerate(targets))
+        moved = gate_sources[local]
+        lifted = index & ~sum(1 << q for q in targets)
+        lifted |= sum(((moved >> t) & 1) << q for t, q in enumerate(targets))
+        sources, phases = sources[lifted], gate_phases[local] * phases[lifted]
+    sources.flags.writeable = phases.flags.writeable = False
+    return sources, phases
+
+
+@cache
+def _two_time_words(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The pre and post flip sequences as words on the 4n-qubit register; built once per n."""
+    return tuple(_sequence_word(gates, 4 * n) for gates in _two_time_gates(n))
+
+
+@cache
+def _two_time_labels(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per outcome, each pair's (x, y) comparison readings, 0 or 2; built once per n."""
+    return tuple(
+        tuple(
+            (2 * ((outcome >> (2 * p)) & 1), 2 * ((outcome >> (2 * p + 1)) & 1))
+            for p in range(n)
+        )
+        for outcome in range(4**n)
+    )
+
+
+def _gather(word: tuple[np.ndarray, np.ndarray], state: StateVector) -> StateVector:
+    sources, phases = word
+    return StateVector(phases * state.amplitudes[sources])
+
+
 def two_time_protocol(
     disturbance: NoiseModel,
     epsilon: float,
@@ -369,6 +421,11 @@ def two_time_protocol(
     the corresponding two-time difference read 2 instead of 0.  With two
     systems the second pair's couplings are staggered just outside the
     first pair's, giving the 4 x 4 joint outcome grid.
+
+    The flips before and after the window are each one gather by a
+    signed-permutation word.  Each flip multiplies an amplitude by 1 or
+    +-i, so the gathered amplitudes are those of applying the gates one by
+    one, up to the sign of exact zeros, which the probabilities square away.
     """
     n = disturbance.n
     if n not in TWO_TIME_SYSTEMS:
@@ -379,28 +436,18 @@ def two_time_protocol(
     num_tests = 2 * n
     plus = _plus_state()
     start = product_state(*([plus] * num_tests), psi, basis_state(n).amplitudes)
-    state = start
-    pre, post = _two_time_gates(n)
-    for gate in pre:
-        state = apply(gate, state)
+    pre, post = _two_time_words(n)
+    state = _gather(pre, start)
     u = noise_unitary(disturbance, epsilon)
     sys_env = tuple(range(num_tests, num_tests + 2 * n))
     state = apply(u.retargeted(sys_env), state)
-    for gate in post:
-        state = apply(gate, state)
+    state = _gather(post, state)
     _check_norm_drift(start, state)
 
     basis = _comparison_basis(num_tests)
     probs = projection_probabilities(state, tuple(range(num_tests)), basis)
-    labels = []
-    for outcome in range(4**n):
-        per_pair = tuple(
-            (2 * ((outcome >> (2 * p)) & 1), 2 * ((outcome >> (2 * p + 1)) & 1))
-            for p in range(n)
-        )
-        labels.append(per_pair)
     sampled = sample_outcome(np.random.default_rng(rng_seed), probs)
-    return TwoTimeResult(n, float(epsilon), tuple(labels), probs, sampled)
+    return TwoTimeResult(n, float(epsilon), _two_time_labels(n), probs, sampled)
 
 
 #: Syndrome letter -> two-time outcome index for one system (x and y comparisons).

@@ -55,12 +55,40 @@ def kron_all(blocks, start=((1.0 + 0j,),)) -> np.ndarray:
     """np.kron(block, acc) over `blocks`, from `start`.
 
     Block j sits on the index bits above those of blocks 0..j-1, so the first
-    block is on the lowest qubits.
+    block is on the lowest qubits.  Each step is one outer product with the
+    axes interleaved, block axis above accumulator axis: every entry is the
+    one product np.kron forms, without its per-call setup.
     """
     out = np.asarray(start, dtype=complex)
     for block in blocks:
-        out = np.kron(block, out)
+        block = np.asarray(block)
+        if block.ndim != out.ndim:
+            raise ContractViolation(f"cannot kron a {block.ndim}-d block onto a {out.ndim}-d product")
+        nd = out.ndim
+        interleaved = [ax for pair in zip(range(nd), range(nd, 2 * nd)) for ax in pair]
+        shape = tuple(b * a for b, a in zip(block.shape, out.shape))
+        out = np.multiply.outer(block, out).transpose(interleaved).reshape(shape)
     return out
+
+
+def signed_permutation(matrix, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read a matrix with one nonzero entry per row as (sources, phases), over the last two axes.
+
+    out[j] = phases[j] * in[sources[j]] is then the matrix-vector product.
+    Checked exactly, with no tolerance: every row and every column has one
+    nonzero entry, so the sources permute the columns, and every phase has
+    modulus 1.
+    """
+    mat = np.asarray(matrix)
+    sources = np.argmax(np.abs(mat), axis=-1)
+    phases = np.take_along_axis(mat, sources[..., None], axis=-1)[..., 0]
+    if not (
+        (np.count_nonzero(mat, axis=-1) == 1).all()
+        and (np.count_nonzero(mat, axis=-2) == 1).all()
+        and (np.abs(phases) == 1).all()
+    ):
+        raise ContractViolation(f"{what} is not a unit-phase signed permutation")
+    return sources, phases
 
 
 def basis_state(num_qubits: int, index: int = 0) -> StateVector:
@@ -260,8 +288,8 @@ def _check_basis(basis: np.ndarray, k: int) -> np.ndarray:
 
 def projection_probabilities(state: StateVector, targets, basis) -> np.ndarray:
     """Born probabilities of each basis outcome on `targets` (columns of `basis`)."""
-    k = len(tuple(targets))
-    basis = _check_basis(basis, k)
+    targets = tuple(targets)
+    basis = _check_basis(basis, len(targets))
     block = _split_targets(state, targets)
     amps = block @ basis.conj()
     return (np.abs(amps) ** 2).sum(axis=0)

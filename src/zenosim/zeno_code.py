@@ -18,7 +18,14 @@ import numpy as np
 
 from .errors import ContractViolation
 from .pauli import PAULI_MATRICES, syndrome_state
-from .statevec import MeasurementResult, StateVector, kron_all, product_state, project_measure
+from .statevec import (
+    MeasurementResult,
+    StateVector,
+    kron_all,
+    product_state,
+    project_measure,
+    signed_permutation,
+)
 
 MAX_SYSTEM_QUBITS = 6
 
@@ -42,25 +49,23 @@ def branch_operator(letter: int, n: int) -> np.ndarray:
 def build_code(n: int) -> ZenoCode:
     """Read the encoder's branch words, and the ancilla data, for n system qubits.
 
-    Each word is checked exactly, with no tolerance: every row has one
-    nonzero entry, of modulus 1, and the word is an involution,
-    sources[sources] = s and phases * phases[sources] = 1.  So each branch
-    is unitary and self-inverse, and `decode` may reuse `encode`.
+    Each word is checked exactly, with no tolerance: `signed_permutation`
+    checks that it is a signed permutation with phases of modulus 1, and
+    here it must also be an involution, sources[sources] = s and
+    phases * phases[sources] = 1.  So each branch is unitary and
+    self-inverse, and `decode` may reuse `encode`.
     """
     if not isinstance(n, int) or not 1 <= n <= MAX_SYSTEM_QUBITS:
         raise ContractViolation(
             f"system size must be an integer in 1..{MAX_SYSTEM_QUBITS}, got {n!r}"
         )
     words = np.stack([branch_operator(a, n) for a in range(4)])
-    sources = np.argmax(np.abs(words), axis=2)
-    phases = np.take_along_axis(words, sources[..., None], axis=2)[..., 0]
+    sources, phases = signed_permutation(words, "an encoder branch")
     if not (
-        (np.count_nonzero(words, axis=2) == 1).all()
-        and (np.abs(phases) == 1).all()
-        and (np.take_along_axis(sources, sources, axis=1) == np.arange(2**n)).all()
+        (np.take_along_axis(sources, sources, axis=1) == np.arange(2**n)).all()
         and (phases * np.take_along_axis(phases, sources, axis=1) == 1).all()
     ):
-        raise ContractViolation("an encoder branch is not a unit-phase involutive Pauli word")
+        raise ContractViolation("an encoder branch is not an involution")
     sources.flags.writeable = phases.flags.writeable = False
     basis = np.column_stack([syndrome_state(b) for b in range(4)])
     return ZenoCode(n, sources, phases, syndrome_state(0), basis)

@@ -1,9 +1,10 @@
 """What the benchmark's outside tracing needs from the package.
 
 `benchmarks/tracing.py` wraps zenosim functions by module and name, and its
-per-cycle metrics count one `single_cycle` span per sweep point.  A refactor
-that renames one of those functions or folds the per-point cycle away breaks
-the benchmark silently; these checks make it fail here instead.
+per-cycle metrics count one `single_cycle` span per sweep point; its
+`protocol.twotime` metric reads one `two_time_protocol` span per strength.
+A refactor that renames one of those functions or folds the per-point call
+away breaks the benchmark silently; these checks make it fail here instead.
 """
 
 import importlib
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+import zenosim.cli
 import zenosim.protocol
 from zenosim.noise import random_model
 from zenosim.protocol import epsilon_sweep
@@ -47,3 +49,19 @@ def test_sweep_runs_one_single_cycle_per_point(monkeypatch):
     grid = np.geomspace(1e-3, 1e-1, 5)
     epsilon_sweep(build_code(2), random_model(2, seed=3), grid)
     assert calls == [float(e) for e in grid]
+
+
+def test_twotime_runs_one_two_time_protocol_per_strength(monkeypatch, tmp_path):
+    # the benchmark's twotime invocation: n = 2 and an 8-point range
+    calls = []
+    real = zenosim.cli.two_time_protocol
+
+    def spy(model, eps, *args, **kwargs):
+        calls.append(eps)
+        return real(model, eps, *args, **kwargs)
+
+    monkeypatch.setattr(zenosim.cli, "two_time_protocol", spy)
+    out = tmp_path / "twotime.csv"
+    argv = ["twotime", "--n", "2", "--eps", "1e-3..3e-2", "--points", "8", "--out", str(out)]
+    assert zenosim.cli.main(argv) == 0
+    assert calls == [float(e) for e in np.geomspace(1e-3, 3e-2, 8)]

@@ -19,6 +19,7 @@ from zenosim.statevec import (
     project_measure,
     random_state,
     reduced_density_matrix,
+    signed_permutation,
 )
 
 
@@ -53,6 +54,73 @@ def test_kron_all_puts_each_block_above_the_blocks_before_it(n):
     # the default start is a complex 1, which leaves every product bit unchanged
     assert np.array_equal(kron_all(matrices), kron_all(matrices, start=[[1.0 + 0j]]))
     assert kron_all([]).dtype == complex and kron_all([]).tolist() == [[1.0]]
+
+
+def _bits(array):
+    """uint64 words of the real and imaginary parts, with -0.0 folded into +0.0."""
+    return (np.asarray(array, dtype=complex) + 0.0).view(np.uint64)
+
+
+def _kron_loop(blocks, start):
+    out = np.asarray(start, dtype=complex)
+    for block in blocks:
+        out = np.kron(block, out)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("kind", ["real", "complex", "pauli"])
+def test_kron_all_matches_the_np_kron_loop_bit_for_bit(n, kind):
+    rng = np.random.default_rng(n)
+    if kind == "pauli":  # PauliString.matrix and branch_operator
+        matrices = [PAULI_MATRICES[a] for a in rng.integers(0, 4, size=n)]
+        vectors = [np.array([1.0, 1.0j]) / np.sqrt(2.0)] * n
+    elif kind == "real":
+        matrices = [rng.normal(size=(2, 2)) for _ in range(n)]
+        vectors = [rng.normal(size=2) for _ in range(n)]
+    else:
+        matrices = [random_matrix(2, 30 * n + j) for j in range(n)]
+        vectors = [random_matrix(2, 40 * n + j)[0] for j in range(n)]
+    # PauliString.matrix starts from [[phase]]; product_state from (1+0j,)
+    for start in ([[1.0 + 0j]], [[1j]], [[-1.0 + 0j]], [[-1j]], [[0.5 - 2j]]):
+        assert np.array_equal(_bits(kron_all(matrices, start)), _bits(_kron_loop(matrices, start)))
+    assert np.array_equal(_bits(kron_all(matrices)), _bits(_kron_loop(matrices, ((1.0 + 0j,),))))
+    for start in ((1.0 + 0j,), (0.5 - 2j,)):
+        assert np.array_equal(_bits(kron_all(vectors, start)), _bits(_kron_loop(vectors, start)))
+    # a mixed chain: a vector onto a vector of two qubits, a 4 x 4 onto a 2 x 2
+    wide = [vectors[0], np.kron(vectors[-1], vectors[0])]
+    assert np.array_equal(_bits(kron_all(wide, (1.0 + 0j,))), _bits(_kron_loop(wide, (1.0 + 0j,))))
+    wide = [matrices[0], np.kron(matrices[-1], matrices[0])]
+    assert np.array_equal(_bits(kron_all(wide, [[1j]])), _bits(_kron_loop(wide, [[1j]])))
+
+
+def test_kron_all_rejects_blocks_of_another_rank():
+    with pytest.raises(ContractViolation, match="2-d block onto a 1-d"):
+        kron_all([np.eye(2)], start=(1.0 + 0j,))
+
+
+def test_signed_permutation_reads_a_pauli_word():
+    word = np.kron(PAULI_MATRICES[2], PAULI_MATRICES[1])
+    sources, phases = signed_permutation(word, "word")
+    psi = random_state(2, 8).amplitudes
+    assert np.array_equal(_bits(phases * psi[sources]), _bits(word @ psi))
+    assert sorted(sources) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.eye(4) + np.roll(np.eye(4), 1, axis=1),  # two entries in each row
+        np.diag([1.0, 1.0, 0.0, 1.0]),  # an empty row
+        np.diag([1.0, 1.0, 1.0 + 1e-16j, 1.0]) * np.exp(0.1j),  # |phase| = 1 only to rounding
+        np.diag([1.0, 1.0, 2.0, 1.0]),  # phase of modulus 2
+        np.diag([1.0, np.nan, 1.0, 1.0]),
+        np.eye(4)[[0, 0, 2, 3]],  # one entry per row, but two rows read column 0
+    ],
+)
+def test_signed_permutation_rejects_what_is_not_one(matrix):
+    with pytest.raises(ContractViolation, match="gate is not a unit-phase signed permutation"):
+        signed_permutation(matrix, "gate")
 
 
 def test_statevector_rejects_bad_length():
@@ -237,6 +305,14 @@ def test_projection_probabilities_complete():
     state = random_state(5, 17)
     probs = projection_probabilities(state, (1, 3), np.eye(4))
     assert abs(probs.sum() - 1.0) < 1e-12
+
+
+def test_projection_probabilities_read_a_generator_of_targets_once():
+    # the targets used to be read twice, so a generator arrived empty the second time
+    state = random_state(3, 1)
+    expected = projection_probabilities(state, (0, 1), np.eye(4))
+    probs = projection_probabilities(state, (t for t in (0, 1)), np.eye(4))
+    assert np.array_equal(probs, expected)
 
 
 def test_postselect_and_branch_vector_agree():

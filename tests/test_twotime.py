@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,34 @@ from zenosim.fitting import fit_power_law
 from zenosim.heisenberg import controlled_flip, encoder_matrix
 from zenosim.noise import noise_unitary, random_model, zero_model
 from zenosim.protocol import SYNDROME_TO_TWO_TIME, single_cycle, two_time_protocol
-from zenosim.statevec import StateVector, basis_state, operator_on_register, random_state
+from zenosim.statevec import (
+    DenseOperator,
+    StateVector,
+    apply,
+    basis_state,
+    operator_on_register,
+    product_state,
+    random_state,
+)
 from zenosim.zeno_code import build_code
 
 EPS_GRID = np.geomspace(1e-3, 3e-2, 8)
+CACHES = (zenosim.protocol._two_time_gates, zenosim.protocol._two_time_words, zenosim.protocol._two_time_labels)
+
+
+@pytest.fixture
+def cold_caches():
+    """Every per-n two-time cache empty before the test and after it."""
+    for cache in CACHES:
+        cache.cache_clear()
+    yield
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def _bits(array):
+    """uint64 words of the real and imaginary parts, with -0.0 folded into +0.0."""
+    return (np.asarray(array, dtype=complex) + 0.0).view(np.uint64)
 
 
 def test_gates_and_basis_are_built_once_per_system_count(monkeypatch):
@@ -23,8 +49,82 @@ def test_gates_and_basis_are_built_once_per_system_count(monkeypatch):
     assert np.array_equal(two_time_protocol(model, 0.05, rng_seed=0).probabilities, first.probabilities)
     pre, post = zenosim.protocol._two_time_gates(2)
     assert all(not gate.matrix.flags.writeable for gate in pre + post)
+    words = zenosim.protocol._two_time_words(2)
+    assert words is zenosim.protocol._two_time_words(2)
+    for sources, phases in words:
+        assert sources.shape == phases.shape == (2**8,)
+        assert not sources.flags.writeable and not phases.flags.writeable
+    assert zenosim.protocol._two_time_labels(2) is zenosim.protocol._two_time_labels(2)
     with pytest.raises(ValueError, match="read-only"):
         zenosim.protocol._comparison_basis(4)[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_flip_words_match_the_gates_applied_one_by_one_bit_for_bit(n):
+    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    start = product_state(*([plus] * (2 * n)), random_state(n, 4), basis_state(n).amplitudes)
+    states = [random_state(4 * n, seed) for seed in range(20)] + [start]
+    words = zenosim.protocol._two_time_words(n)
+    for gates, word in zip(zenosim.protocol._two_time_gates(n), words):
+        assert len(gates) == 2 * n
+        for state in states:
+            expected = state
+            for gate in gates:
+                expected = apply(gate, expected)
+            gathered = zenosim.protocol._gather(word, state)
+            assert np.array_equal(_bits(gathered.amplitudes), _bits(expected.amplitudes))
+
+
+@pytest.mark.parametrize("cold", [True, False])
+def test_one_run_applies_one_dense_operator_the_noise(monkeypatch, cold_caches, cold):
+    model = random_model(2, seed=3)
+    if not cold:
+        two_time_protocol(model, 0.05, rng_seed=0)
+    applied = []
+    real_apply = zenosim.protocol.apply
+
+    def spy(op, state):
+        applied.append(op.target_qubits)
+        return real_apply(op, state)
+
+    monkeypatch.setattr(zenosim.protocol, "apply", spy)
+    two_time_protocol(model, 0.2, rng_seed=0)
+    assert applied == [(4, 5, 6, 7)]  # the noise on the systems and their environments
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_two_time_path_keeps_no_array_larger_than_the_register(n, cold_caches):
+    size = 2 ** (4 * n)
+    model = random_model(n, seed=2)
+    model.hamiltonian.eigh  # the model's own cache, 4^n x 4^n, is not the two-time path's
+    tracemalloc.start()
+    try:
+        two_time_protocol(model, 0.05, rng_seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if n == 2:  # one dense register matrix would be 1 MiB
+        assert peak < size * size * 16 / 4
+    pre, post = zenosim.protocol._two_time_gates(n)
+    kept = [gate.matrix for gate in pre + post]
+    kept += [array for word in zenosim.protocol._two_time_words(n) for array in word]
+    kept.append(zenosim.protocol._comparison_basis(2 * n))
+    assert max(array.size for array in kept) <= size
+
+
+@pytest.mark.parametrize("defect", ["two entries in a row", "phase of modulus 1/2"])
+def test_a_flip_that_is_not_a_signed_permutation_is_rejected(monkeypatch, cold_caches, defect):
+    def bad_flip(letter):
+        mat = controlled_flip(letter).matrix.copy()
+        if defect == "two entries in a row":
+            mat[0, 1] = 1.0
+        else:
+            mat[3] *= 0.5
+        return DenseOperator(mat, (0, 1))
+
+    monkeypatch.setattr(zenosim.protocol, "controlled_flip", bad_flip)
+    with pytest.raises(ContractViolation, match="two-time flip is not a unit-phase signed permutation"):
+        two_time_protocol(random_model(1, seed=1), 1e-2, rng_seed=0)
 
 
 def test_undisturbed_single_system_has_one_outcome():
