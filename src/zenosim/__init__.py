@@ -10,7 +10,6 @@ from .pauli import (
 )
 from .statevec import (
     DenseOperator,
-    MeasurementResult,
     StateVector,
     apply,
     basis_state,
@@ -21,16 +20,12 @@ from .statevec import (
     postselect,
     product_state,
     projection_probabilities,
-    project_measure,
     random_state,
-    reduced_density_matrix,
 )
-from .zeno_code import ZenoCode, build_code, decode, encode, prepare, syndrome_measure
+from .zeno_code import ZenoCode, build_code, decode, encode, prepare
 from .noise import (
     NoiseModel,
     build_hamiltonian,
-    evolve_exact,
-    evolve_first_order,
     load_model,
     model_from_dict,
     model_to_dict,

@@ -24,7 +24,7 @@ from .errors import ConfigError, ContractViolation
 from .heisenberg import run_verification
 from .noise import load_model, random_model
 from .output import write_csv, write_json
-from .protocol import TWO_TIME_SYSTEMS, epsilon_sweep, two_time_protocol, zeno_run
+from .protocol import epsilon_sweep, two_time_protocol, zeno_run
 from .statevec import basis_state, random_state
 from .zeno_code import MAX_SYSTEM_QUBITS, build_code
 
@@ -85,8 +85,6 @@ class ExperimentConfig:
                 raise ConfigError("total_epsilon: a finite nonnegative total strength is required")
             if not self.k_values or any((not isinstance(k, int)) or k < 1 for k in self.k_values):
                 raise ConfigError("k_values: need positive integer cycle counts")
-        if self.subcommand == "twotime" and self.n not in TWO_TIME_SYSTEMS:
-            raise ConfigError("n: the two-time protocol supports 1 or 2 systems")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)

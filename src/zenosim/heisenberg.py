@@ -270,19 +270,6 @@ def verify_flip_product_equivalence(seed: int = 11) -> IdentityReport:
     )
 
 
-def flip_product_branch_table() -> list[tuple[int, int, complex]]:
-    """(ancilla value, measured letter, measured phase) per branch of the flip product."""
-    enc = flip_product_encoder()
-    table = []
-    for a in range(4):
-        block = enc[a::4, a::4]
-        for letter in range(4):
-            for phase in (1, 1j, -1, -1j):
-                if np.abs(block - phase * PAULI_MATRICES[letter]).max() < 1e-12:
-                    table.append((a, letter, phase))
-    return table
-
-
 def _pauli_table_report() -> IdentityReport:
     worst = 0.0
     for a in range(4):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .pauli import PAULI_MATRICES
-from .statevec import DenseOperator, StateVector, apply, hermitian_exp, unit_phases
+from .statevec import DenseOperator, hermitian_exp, unit_phases
 
 HERMITICITY_TOL = 1e-12
 
@@ -157,42 +157,6 @@ def pair_unitaries(model: NoiseModel, epsilon: float | None = None) -> np.ndarra
         h += np.einsum("ixy,uv->ixuyv", model.couplings[:, b], PAULI_MATRICES[b]).reshape(model.n, 4, 4)
     w, v = np.linalg.eigh(h)
     return (v * unit_phases(eps, w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def _sys_env_offset(state: StateVector, n: int) -> int:
-    if state.num_qubits == 2 * n + 2:
-        return 2
-    if state.num_qubits == 2 * n:
-        return 0
-    raise ContractViolation(
-        f"state has {state.num_qubits} qubits; expected {2 * n} or {2 * n + 2}"
-    )
-
-
-def evolve_exact(state: StateVector, model: NoiseModel, epsilon: float | None = None) -> StateVector:
-    """Unitary evolution of the system+environment block; the ancilla is untouched."""
-    offset = _sys_env_offset(state, model.n)
-    u = noise_unitary(model, epsilon)
-    return apply(u.retargeted(tuple(q + offset - 2 for q in u.target_qubits)), state)
-
-
-def evolve_first_order(
-    state: StateVector,
-    model: NoiseModel,
-    renormalize: bool = False,
-    epsilon: float | None = None,
-) -> StateVector:
-    """Truncated evolution (1 + i eps H); unnormalized unless `renormalize`.
-
-    Meant for analytic cross-checks: the output norm differs from 1 at
-    second order in eps.
-    """
-    eps = _strength(model, epsilon)
-    offset = _sys_env_offset(state, model.n)
-    h = model.hamiltonian
-    h = h.retargeted(tuple(q + offset - 2 for q in h.target_qubits))
-    out = StateVector(state.amplitudes + 1j * eps * apply(h, state).amplitudes)
-    return out.normalized() if renormalize else out
 
 
 def model_to_dict(model: NoiseModel) -> dict:

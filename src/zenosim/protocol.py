@@ -7,11 +7,10 @@ realism and is always seeded.
 
 Single cycles and sweeps evolve the full ancilla|system|environment state
 vector under the dense noise unitary; the encoder acts on it as four
-branch words.  The two-time protocol applies its controlled flips as two
-signed-permutation words, one before and one after the disturbance
-window, so only its noise is dense.  Repeated-measurement runs never
-build the full state.  The noise factorizes as exp(i eps H) = (x)_i V_i
-over (system i, environment i) pairs, and the encoder is
+branch words.  The two-time protocol and repeated-measurement runs never
+build the full state; the two-time distribution is contracted from one
+2 x 2 Gram matrix per system and outcome.  The noise factorizes as
+exp(i eps H) = (x)_i V_i over (system i, environment i) pairs, and the encoder is
 sum_a |a><a| (x) sigma_a^(x)n, so the syndrome-b branch of one cycle is
 1/4 sum_a chi_b(a) (x)_i sigma_a V_i sigma_a, with chi_b(a) =
 `conjugation_sign(a, b)`, twice the syndrome basis entry [a, b].
@@ -26,6 +25,7 @@ system|environment pure state, applying the pair factors one at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -37,19 +37,18 @@ from .noise import NoiseModel, noise_unitary, pair_unitaries
 from .pauli import PAULI_MATRICES
 from .statevec import (
     NORM_TOL,
-    DenseOperator,
     StateVector,
     apply,
     basis_state,
     kron_all,
+    operator_on_register,
     overlap_probability,
     postselect,
     product_state,
     projection_probabilities,
     sample_outcome,
-    signed_permutation,
 )
-from .zeno_code import ZenoCode, check_system_state, decode, encode, prepare
+from .zeno_code import ZenoCode, check_system_count, check_system_state, decode, encode, prepare
 from .heisenberg import controlled_flip
 
 
@@ -116,7 +115,8 @@ class TwoTimeResult:
 
     @property
     def other_outcome_mass(self) -> float:
-        return float(1.0 - self.probabilities[0])
+        """Probability that some comparison reads 2, summed over those outcomes, not 1 - p_0."""
+        return math.fsum(self.probabilities[1:])
 
 
 def _attach_environment(state: StateVector, n: int) -> StateVector:
@@ -327,84 +327,63 @@ def epsilon_sweep(
     return SweepTable(observable, tuple(rows), fit, status)
 
 
-def _plus_state() -> np.ndarray:
-    return np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+#: One test qubit's readout: column 0 reads it unchanged (+), column 1 flipped (-).
+_COMPARISON = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
-
-#: System counts the two-time protocol supports.
-TWO_TIME_SYSTEMS = (1, 2)
-
-
-@cache
-def _comparison_basis(num_tests: int) -> np.ndarray:
-    """Outcome basis: each test qubit read out as unchanged (+) or flipped (-); read-only, built once."""
-    single = np.column_stack(
-        [np.array([1, 1], dtype=complex) / np.sqrt(2), np.array([1, -1], dtype=complex) / np.sqrt(2)]
-    )
-    basis = kron_all([single] * num_tests)
-    basis.flags.writeable = False
-    return basis
+#: One system's (x, y) comparison readings for its local outcome o = x + 2y.
+_PAIR_READINGS = ((0, 0), (2, 0), (0, 2), (2, 2))
 
 
 @cache
-def _two_time_gates(n: int) -> tuple[tuple[DenseOperator, ...], tuple[DenseOperator, ...]]:
-    """The controlled flips before and after the disturbance window, in time order; built once per n."""
-    num_tests = 2 * n
+def _two_time_halves() -> np.ndarray:
+    """The strength-independent halves of one system's 16 x 16 block, joined; read-only, built once.
 
-    def flip(letter: str, pair: int):
-        control = 2 * pair + (0 if letter == "x" else 1)
-        target = num_tests + pair
-        return controlled_flip(letter).retargeted((control, target))
-
-    # ascending time: outer pair (highest index) couples first and last
-    pre = tuple(flip("x", p) for p in reversed(range(n))) + tuple(flip("y", p) for p in reversed(range(n)))
-    post = tuple(flip("y", p) for p in range(n)) + tuple(flip("x", p) for p in range(n))
-    return pre, post
-
-
-def _sequence_word(gates, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """One read-only (sources, phases) word on the register for `gates` applied in order.
-
-    Each gate's 4x4 word is lifted by index arithmetic on its target bits:
-    out[j] = p_g[j] * prev[s_g[j]], so the running word becomes
-    (sources[s_g], p_g * phases[s_g]).  Every phase is a product of 1 and
-    +-i, so it is exact.
+    The block's local qubits are x-test, y-test, system, environment.  The
+    tests start in |+> and the environment in |0>; the x flip couples before
+    the y flip, and they uncouple in reverse, so pre = F_y F_x and
+    post = F_x F_y.  With the noise pair V (local index sys + 2 env) between
+    them, the readout amplitudes of local outcome o for system input s are
+    A(o)[out, s] = sum_{u, w} V[u, w] halves[4u + w, 8o + 2out + s], where
+    halves = sum over the test states of (<o| post)[out, u] (pre |++, s, 0>)[w].
     """
-    index = np.arange(2**num_qubits)
-    sources, phases = index, np.ones(index.size, dtype=complex)
-    for gate in gates:
-        gate_sources, gate_phases = signed_permutation(gate.matrix, "a two-time flip")
-        targets = gate.target_qubits
-        local = sum(((index >> q) & 1) << t for t, q in enumerate(targets))
-        moved = gate_sources[local]
-        lifted = index & ~sum(1 << q for q in targets)
-        lifted |= sum(((moved >> t) & 1) << q for t, q in enumerate(targets))
-        sources, phases = sources[lifted], gate_phases[local] * phases[lifted]
-    sources.flags.writeable = phases.flags.writeable = False
-    return sources, phases
+    flips = {letter: operator_on_register(controlled_flip(letter).matrix, (test, 2), 4)
+             for letter, test in (("x", 0), ("y", 1))}
+    pre, post = flips["y"] @ flips["x"], flips["x"] @ flips["y"]
+    start = kron_all([_COMPARISON[:, :1], _COMPARISON[:, :1], np.eye(2), np.eye(2)[:, :1]])  # |++, s, 0>
+    before = (pre @ start).reshape(4, 4, 2)  # [sys env, tests, s]
+    readout = kron_all([_COMPARISON, _COMPARISON])  # column o = x + 2y
+    after = np.einsum("to,xtuv->oxuv", readout.conj(), post.reshape(4, 4, 4, 4))  # [o, out, sys env, tests]
+    halves = np.einsum("oxut,wts->uwoxs", after, before).reshape(16, 32)
+    halves.flags.writeable = False
+    return halves
 
 
-@cache
-def _two_time_words(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The pre and post flip sequences as words on the 4n-qubit register; built once per n."""
-    return tuple(_sequence_word(gates, 4 * n) for gates in _two_time_gates(n))
+def _outcome_grams(model: NoiseModel, epsilon: float) -> np.ndarray:
+    """G[p, o] = A_p(o)^dagger A_p(o), system p's 2 x 2 Gram matrix for local outcome o; shape (n, 4, 2, 2)."""
+    n = model.n
+    amps = (pair_unitaries(model, epsilon).reshape(n, 16) @ _two_time_halves()).reshape(n, 4, 4, 2)
+    return amps.conj().swapaxes(-1, -2) @ amps
+
+
+def _gram_probabilities(grams: np.ndarray, psi: StateVector) -> np.ndarray:
+    """p(o) = <psi| (x)_p G[p, o_p] |psi> for every o = sum_p o_p 4^p, one system at a time.
+
+    Each step contracts system p's ket and bra bits of psi psi^dagger with its
+    four Gram matrices, so the array keeps 4^n entries throughout.
+    """
+    n = grams.shape[0]
+    amps = psi.amplitudes
+    rho = np.outer(amps, amps.conj())[..., None]  # [ket, bra, outcomes so far]
+    for p in range(n):  # system p is the lowest bit still open
+        d = 2 ** (n - 1 - p)
+        rho = np.einsum("ots,asbtk->abok", grams[p], rho.reshape(d, 2, d, 2, -1)).reshape(d, d, -1)
+    return rho.reshape(-1).real
 
 
 @cache
 def _two_time_labels(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per outcome, each pair's (x, y) comparison readings, 0 or 2; built once per n."""
-    return tuple(
-        tuple(
-            (2 * ((outcome >> (2 * p)) & 1), 2 * ((outcome >> (2 * p + 1)) & 1))
-            for p in range(n)
-        )
-        for outcome in range(4**n)
-    )
-
-
-def _gather(word: tuple[np.ndarray, np.ndarray], state: StateVector) -> StateVector:
-    sources, phases = word
-    return StateVector(phases * state.amplitudes[sources])
+    return tuple(tuple(_PAIR_READINGS[(o >> 2 * p) & 3] for p in range(n)) for o in range(4**n))
 
 
 def two_time_protocol(
@@ -418,34 +397,25 @@ def two_time_protocol(
     Per system, one test qubit couples through an x-type controlled flip
     before and after the disturbance window and another through a y-type
     flip at nested instants in between; a test qubit found flipped means
-    the corresponding two-time difference read 2 instead of 0.  With two
-    systems the second pair's couplings are staggered just outside the
-    first pair's, giving the 4 x 4 joint outcome grid.
+    the corresponding two-time difference read 2 instead of 0.  Outcome
+    sum_p o_p 4^p has system p's x reading in bit 2p and its y reading in
+    bit 2p + 1.
 
-    The flips before and after the window are each one gather by a
-    signed-permutation word.  Each flip multiplies an amplitude by 1 or
-    +-i, so the gathered amplitudes are those of applying the gates one by
-    one, up to the sign of exact zeros, which the probabilities square away.
+    Every flip and every noise pair acts inside one system's block of test,
+    system and environment qubits, and the blocks commute, so only psi
+    couples the systems: p(o) = <psi| (x)_p G_p(o_p) |psi>, with the Gram
+    matrices of `_outcome_grams`.  No register of the 4n qubits is formed.
+    The probabilities must sum to |psi|^2 within NORM_TOL.
     """
     n = disturbance.n
-    if n not in TWO_TIME_SYSTEMS:
-        raise ContractViolation("the two-time protocol is implemented for 1 or 2 systems")
+    check_system_count(n)
     if psi is None:
         psi = basis_state(n)
     check_system_state(n, psi)
-    num_tests = 2 * n
-    plus = _plus_state()
-    start = product_state(*([plus] * num_tests), psi, basis_state(n).amplitudes)
-    pre, post = _two_time_words(n)
-    state = _gather(pre, start)
-    u = noise_unitary(disturbance, epsilon)
-    sys_env = tuple(range(num_tests, num_tests + 2 * n))
-    state = apply(u.retargeted(sys_env), state)
-    state = _gather(post, state)
-    _check_norm_drift(start, state)
-
-    basis = _comparison_basis(num_tests)
-    probs = projection_probabilities(state, tuple(range(num_tests)), basis)
+    probs = _gram_probabilities(_outcome_grams(disturbance, epsilon), psi)
+    defect = abs(math.fsum(probs) - psi.norm() ** 2)
+    if not defect <= NORM_TOL:
+        raise ContractViolation(f"two-time probabilities miss the state's norm by {defect:.3e}")
     sampled = sample_outcome(np.random.default_rng(rng_seed), probs)
     return TwoTimeResult(n, float(epsilon), _two_time_labels(n), probs, sampled)
 

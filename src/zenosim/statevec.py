@@ -300,28 +300,6 @@ def sample_outcome(rng: np.random.Generator, probs: np.ndarray) -> int:
     return int(rng.choice(probs.size, p=probs / probs.sum()))
 
 
-@dataclass
-class MeasurementResult:
-    outcome: int
-    probability: float
-    post_state: StateVector
-    probabilities: np.ndarray
-
-
-def project_measure(state: StateVector, targets, basis, rng_seed: int) -> MeasurementResult:
-    """Projective measurement of `targets` in an orthonormal basis.
-
-    The outcome is sampled with the Born rule from a generator seeded with
-    `rng_seed`; the returned probabilities cover every outcome, so callers
-    needing exact statistics never have to sample.
-    """
-    targets = tuple(targets)
-    probs = projection_probabilities(state, targets, basis)
-    outcome = sample_outcome(np.random.default_rng(rng_seed), probs)
-    _, post_state = postselect(state, targets, np.asarray(basis, dtype=complex)[:, outcome])
-    return MeasurementResult(outcome, float(probs[outcome]), post_state, probs)
-
-
 def branch_vector(state: StateVector, targets, vector) -> StateVector:
     """Contract <vector| on `targets`; unnormalized state of the other qubits."""
     vec = np.asarray(vector, dtype=complex)
@@ -357,9 +335,3 @@ def overlap_probability(state: StateVector, reference: StateVector, start_qubit:
     arr = state.amplitudes.reshape(high, 2**k, low)
     contracted = np.tensordot(reference.amplitudes.conj(), arr, axes=([0], [1]))
     return float(np.sum(np.abs(contracted) ** 2))
-
-
-def reduced_density_matrix(state: StateVector, keep) -> np.ndarray:
-    """Density matrix of the `keep` qubits, indexed little-endian over `keep`."""
-    block = _split_targets(state, keep)
-    return block.T @ block.conj()

@@ -18,14 +18,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .pauli import PAULI_MATRICES, syndrome_state
-from .statevec import (
-    MeasurementResult,
-    StateVector,
-    kron_all,
-    product_state,
-    project_measure,
-    signed_permutation,
-)
+from .statevec import StateVector, kron_all, product_state, signed_permutation
 
 MAX_SYSTEM_QUBITS = 6
 
@@ -55,10 +48,7 @@ def build_code(n: int) -> ZenoCode:
     phases * phases[sources] = 1.  So each branch is unitary and
     self-inverse, and `decode` may reuse `encode`.
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_SYSTEM_QUBITS:
-        raise ContractViolation(
-            f"system size must be an integer in 1..{MAX_SYSTEM_QUBITS}, got {n!r}"
-        )
+    check_system_count(n)
     words = np.stack([branch_operator(a, n) for a in range(4)])
     sources, phases = signed_permutation(words, "an encoder branch")
     if not (
@@ -69,6 +59,14 @@ def build_code(n: int) -> ZenoCode:
     sources.flags.writeable = phases.flags.writeable = False
     basis = np.column_stack([syndrome_state(b) for b in range(4)])
     return ZenoCode(n, sources, phases, syndrome_state(0), basis)
+
+
+def check_system_count(n: int) -> None:
+    """Reject a system size outside 1..MAX_SYSTEM_QUBITS."""
+    if not isinstance(n, int) or not 1 <= n <= MAX_SYSTEM_QUBITS:
+        raise ContractViolation(
+            f"system size must be an integer in 1..{MAX_SYSTEM_QUBITS}, got {n!r}"
+        )
 
 
 def check_system_state(n: int, psi: StateVector) -> None:
@@ -105,12 +103,3 @@ def encode(code: ZenoCode, state: StateVector) -> StateVector:
 def decode(code: ZenoCode, state: StateVector) -> StateVector:
     """Each branch word is an involution (checked in build_code), so decoding is a second application."""
     return encode(code, state)
-
-
-def syndrome_measure(code: ZenoCode, state: StateVector, rng_seed: int) -> MeasurementResult:
-    """Measure the ancilla in the syndrome basis.
-
-    The sampled outcome is the detected error letter (0 = none); the full
-    probability vector is reported alongside it.
-    """
-    return project_measure(state, (0, 1), code.syndrome_basis, rng_seed)

@@ -1,5 +1,6 @@
-"""Dense references: the noise Hamiltonian built from full-register krons, and
-`zeno_run` on the full ancilla|system|environment register.
+"""Dense references: the noise Hamiltonian built from full-register krons,
+`zeno_run` and the two-time protocol on their full registers, and dense
+evolution of the noise.
 
 `dense_build_hamiltonian` is the kron builder `noise.build_hamiltonian`
 replaced; the production builder must reproduce it bit for bit.
@@ -12,21 +13,34 @@ policy reruns every eigenvector of the system's density matrix as a pure
 state with a fresh environment; persist carries one pure state.  The noise
 exponential is built once per run, since the strength per cycle is fixed.
 The production kernel in `zenosim.protocol` must agree with this to 1e-12.
+
+`dense_two_time_probabilities` runs the two-time protocol on the whole
+4n-qubit register of test, system and environment qubits, applying each
+controlled flip and the 4^n noise one by one; `two_time_protocol`'s Gram
+kernel must agree with it to 1e-12.
+
+`evolve_exact`, `evolve_first_order` and `reduced_density_matrix` are the
+dense evolution and partial trace the noise tests and acceptance criterion 4
+check the noise model with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from zenosim.heisenberg import encoder_matrix
+from zenosim.errors import ContractViolation
+from zenosim.heisenberg import controlled_flip, encoder_matrix
 from zenosim.noise import noise_unitary
 from zenosim.pauli import PAULI_MATRICES
 from zenosim.protocol import CycleResult, RunResult
 from zenosim.statevec import (
     DenseOperator,
+    StateVector,
+    _split_targets,
     apply,
     basis_state,
     branch_vector,
+    kron_all,
     operator_on_register,
     overlap_probability,
     postselect,
@@ -117,3 +131,61 @@ def dense_zeno_run(code, model, total_epsilon, cycles, env_policy="reset", rng_s
         cumulative_failure=float(1.0 - cumulative),
         final_conditional_fidelity=per_cycle[-1].conditional_fidelity,
     )
+
+
+def dense_two_time_probabilities(model, epsilon, psi) -> np.ndarray:
+    """`two_time_protocol`'s outcome probabilities on the whole register, gates applied one by one.
+
+    Qubits: the x test of system p at 2p and its y test at 2p + 1, then the
+    n systems, then their environments.
+    """
+    n = model.n
+    tests = 2 * n
+    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    state = product_state(*([plus] * tests), psi, basis_state(n).amplitudes)
+
+    def flip(letter, p):
+        return controlled_flip(letter).retargeted((2 * p + (letter == "y"), tests + p))
+
+    # ascending time: outer pair (highest index) couples first and last
+    pre = [flip("x", p) for p in reversed(range(n))] + [flip("y", p) for p in reversed(range(n))]
+    post = [flip("y", p) for p in range(n)] + [flip("x", p) for p in range(n)]
+    noise = noise_unitary(model, epsilon).retargeted(range(tests, tests + 2 * n))
+    for gate in [*pre, noise, *post]:
+        state = apply(gate, state)
+    single = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    return projection_probabilities(state, range(tests), kron_all([single] * tests))
+
+
+def _sys_env_offset(state, n: int) -> int:
+    if state.num_qubits == 2 * n + 2:
+        return 2
+    if state.num_qubits == 2 * n:
+        return 0
+    raise ContractViolation(f"state has {state.num_qubits} qubits; expected {2 * n} or {2 * n + 2}")
+
+
+def evolve_exact(state, model, epsilon=None) -> StateVector:
+    """Unitary evolution of the system+environment block; the ancilla is untouched."""
+    offset = _sys_env_offset(state, model.n)
+    u = noise_unitary(model, epsilon)
+    return apply(u.retargeted(tuple(q + offset - 2 for q in u.target_qubits)), state)
+
+
+def evolve_first_order(state, model, renormalize=False, epsilon=None) -> StateVector:
+    """Truncated evolution (1 + i eps H); unnormalized unless `renormalize`.
+
+    The output norm differs from 1 at second order in eps.
+    """
+    eps = model.epsilon if epsilon is None else epsilon
+    offset = _sys_env_offset(state, model.n)
+    h = model.hamiltonian
+    h = h.retargeted(tuple(q + offset - 2 for q in h.target_qubits))
+    out = StateVector(state.amplitudes + 1j * eps * apply(h, state).amplitudes)
+    return out.normalized() if renormalize else out
+
+
+def reduced_density_matrix(state, keep) -> np.ndarray:
+    """Density matrix of the `keep` qubits, indexed little-endian over `keep`."""
+    block = _split_targets(state, keep)
+    return block.T @ block.conj()

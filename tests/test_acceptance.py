@@ -19,6 +19,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from dense_reference import evolve_exact, evolve_first_order
 from zenosim.cli import main
 from zenosim.fitting import fit_power_law
 from zenosim.heisenberg import (
@@ -29,13 +30,7 @@ from zenosim.heisenberg import (
     verify_encoder_conjugations,
     verify_flip_conjugation,
 )
-from zenosim.noise import (
-    NoiseModel,
-    build_hamiltonian,
-    evolve_exact,
-    evolve_first_order,
-    random_model,
-)
+from zenosim.noise import NoiseModel, build_hamiltonian, random_model
 from zenosim.output import data_lines
 from zenosim.pauli import PAULI_MATRICES, conjugation_sign, syndrome_state
 from zenosim.protocol import single_cycle, two_time_protocol, zeno_run

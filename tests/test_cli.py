@@ -148,6 +148,15 @@ def test_twotime_two_systems(tmp_path):
     assert len(header.split(",")) == 1 + 16 + 1
 
 
+def test_twotime_six_systems(tmp_path):
+    out = tmp_path / "tt.csv"
+    assert main(["twotime", "--n", "6", "--seed", "5", "--eps", "1e-2,3e-2", "--out", str(out)]) == 0
+    rows = list(csv.reader(ln for ln in read_lines(out) if not ln.startswith("#")))
+    assert rows[0][0] == "epsilon" and rows[0][-1] == "other_outcome_mass"
+    assert [len(row) for row in rows] == [1 + 4**6 + 1] * 3
+    assert rows[0][1] == "p_" + "_".join(["00"] * 6)
+
+
 def test_invalid_configs_exit_2(tmp_path, capsys):
     assert main(["sweep", "--n", "0", "--eps", "1e-3..3e-2"]) == 2
     assert "n:" in capsys.readouterr().err
@@ -203,6 +212,7 @@ OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp wou
     [
         (lambda tmp: ["sweep", "--n", "1", "--eps", "1e-3..inf"], "epsilons:"),
         (lambda tmp: ["twotime", "--n", "1", "--eps", "nan,1e-2"], "epsilons:"),
+        (lambda tmp: ["twotime", "--n", "7", "--eps", "1e-2"], "n:"),
         (lambda tmp: ["zeno", "--n", "1", "--total-eps", "nan", "--k", "1,2"], "total_epsilon:"),
         (lambda tmp: ["zeno", "--n", "1", "--total-eps", "0.05", "--k", "1",
                       "--model-file", str(tmp / "missing.json")], "model_file:"),
@@ -239,7 +249,7 @@ OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp wou
         (lambda tmp: ["twotime", "--n", "2", "--eps", "1e308"], OVERFLOW),
         (lambda tmp: ["sweep", "--n", "2", "--eps", "1e306..1e308", "--points", "4"], OVERFLOW),
     ],
-    ids=["range-to-inf", "nan-in-list", "nan-total", "missing-model", "model-without-couplings",
+    ids=["range-to-inf", "nan-in-list", "twotime-n7", "nan-total", "missing-model", "model-without-couplings",
          "model-short-couplings", "model-null-n", "model-not-json",
          "sweep-config-eps-not-number", "zeno-config-eps-not-number", "sweep-config-eps-not-list",
          "sweep-config-k-not-number", "zeno-config-k-not-number", "sweep-config-k-fraction",

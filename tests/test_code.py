@@ -14,9 +14,17 @@ from zenosim.statevec import (
     operator_on_register,
     overlap_probability,
     product_state,
+    projection_probabilities,
     random_state,
+    sample_outcome,
 )
-from zenosim.zeno_code import branch_operator, build_code, decode, encode, prepare, syndrome_measure
+from zenosim.zeno_code import branch_operator, build_code, decode, encode, prepare
+
+
+def measure_syndrome(code, state, rng_seed):
+    """The ancilla read in the syndrome basis: a sampled letter and every letter's probability."""
+    probs = projection_probabilities(state, (0, 1), code.syndrome_basis)
+    return sample_outcome(np.random.default_rng(rng_seed), probs), probs
 
 
 def _bits(state):
@@ -135,17 +143,17 @@ def test_single_error_rotates_ancilla_to_its_syndrome_state(n, b):
         fidelity = abs(np.vdot(expected.amplitudes, state.amplitudes)) ** 2
         assert fidelity == pytest.approx(1.0, abs=1e-12)
         # ...so the measured syndrome is b with certainty, independent of j
-        res = syndrome_measure(code, state, rng_seed=1)
-        assert res.outcome == b
-        assert res.probabilities[b] == pytest.approx(1.0, abs=1e-12)
+        outcome, probs = measure_syndrome(code, state, rng_seed=1)
+        assert outcome == b
+        assert probs[b] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_syndrome_of_undisturbed_state_is_zero():
     code = build_code(2)
     state = decode(code, encode(code, prepare(code, random_state(2, 3))))
-    res = syndrome_measure(code, state, rng_seed=9)
-    assert res.outcome == 0
-    assert res.probability == pytest.approx(1.0)
+    outcome, probs = measure_syndrome(code, state, rng_seed=9)
+    assert outcome == 0
+    assert probs[0] == pytest.approx(1.0)
 
 
 def test_distinct_letters_give_orthogonal_outcomes_regardless_of_position():
@@ -159,8 +167,8 @@ def test_distinct_letters_give_orthogonal_outcomes_regardless_of_position():
             state = encode(code, prepare(code, psi))
             err = operator_on_register(PAULI_MATRICES[b], (2 + j,), n + 2)
             state = decode(code, type(state)(err @ state.amplitudes))
-            res = syndrome_measure(code, state, rng_seed=0)
-            seen.setdefault(b, set()).add(res.outcome)
+            outcome, _ = measure_syndrome(code, state, rng_seed=0)
+            seen.setdefault(b, set()).add(outcome)
     assert seen == {1: {1}, 2: {2}, 3: {3}}
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_reference import reduced_density_matrix
 from zenosim.errors import ContractViolation
 from zenosim.pauli import PAULI_MATRICES
 from zenosim.statevec import (
@@ -16,9 +17,8 @@ from zenosim.statevec import (
     postselect,
     product_state,
     projection_probabilities,
-    project_measure,
     random_state,
-    reduced_density_matrix,
+    sample_outcome,
     signed_permutation,
 )
 
@@ -264,41 +264,41 @@ def test_contract_checks_reject_nan():
     with pytest.raises(ContractViolation, match="not hermitian"):
         hermitian_exp(DenseOperator(nan, (0,)), 0.1)
     with pytest.raises(ContractViolation, match="not orthonormal"):
-        project_measure(random_state(2, 1), (0,), nan, rng_seed=0)
+        projection_probabilities(random_state(2, 1), (0,), nan)
     with pytest.raises(ContractViolation, match="normalized"):
         overlap_probability(random_state(2, 1), StateVector(np.array([np.nan, 0.0])))
 
 
-def test_project_measure_on_eigenstate():
-    basis = np.eye(4)
+def test_projection_probabilities_on_an_eigenstate():
     state = product_state([1, 0], [0, 1], [1, 0])  # qubits 0,1 in |0>,|1>
-    res = project_measure(state, (0, 1), basis, rng_seed=0)
-    assert res.outcome == 2  # qubit 1 set -> block index 2
-    assert res.probability == pytest.approx(1.0)
-    assert np.allclose(res.probabilities, [0, 0, 1, 0])
+    probs = projection_probabilities(state, (0, 1), np.eye(4))
+    assert np.allclose(probs, [0, 0, 1, 0])  # qubit 1 set -> block index 2
+    assert sample_outcome(np.random.default_rng(0), probs) == 2
+    p, post = postselect(state, (0, 1), np.eye(4)[:, 2])
+    assert p == pytest.approx(1.0)
+    assert np.allclose(post.amplitudes, state.amplitudes)
 
 
-def test_project_measure_uniform_two_qubits():
+def test_projection_probabilities_uniform_two_qubits():
     state = product_state([1, 1], [1, 1], [1, 0])
     state = StateVector(state.amplitudes / state.norm())
-    res = project_measure(state, (0, 1), np.eye(4), rng_seed=3)
-    assert np.allclose(res.probabilities, 0.25)
-    assert abs(res.probabilities.sum() - 1.0) < 1e-12
-    assert abs(res.post_state.norm() - 1.0) < 1e-12
+    probs = projection_probabilities(state, (0, 1), np.eye(4))
+    assert np.allclose(probs, 0.25)
+    assert abs(probs.sum() - 1.0) < 1e-12
+    _, post = postselect(state, (0, 1), np.eye(4)[:, 3])
+    assert abs(post.norm() - 1.0) < 1e-12
 
 
-def test_project_measure_deterministic_given_seed():
-    state = random_state(4, 8)
-    first = project_measure(state, (1, 2), np.eye(4), rng_seed=42)
-    second = project_measure(state, (1, 2), np.eye(4), rng_seed=42)
-    assert first.outcome == second.outcome
-    assert np.array_equal(first.post_state.amplitudes, second.post_state.amplitudes)
+def test_sample_outcome_is_deterministic_given_seed():
+    probs = projection_probabilities(random_state(4, 8), (1, 2), np.eye(4))
+    draws = [sample_outcome(np.random.default_rng(42), probs) for _ in range(2)]
+    assert draws[0] == draws[1]
 
 
-def test_project_measure_rejects_skew_basis():
+def test_projection_probabilities_rejects_skew_basis():
     skew = np.array([[1, 0], [1, 1]], dtype=float)
-    with pytest.raises(ContractViolation):
-        project_measure(random_state(2, 1), (0,), skew, rng_seed=0)
+    with pytest.raises(ContractViolation, match="not orthonormal"):
+        projection_probabilities(random_state(2, 1), (0,), skew)
 
 
 def test_projection_probabilities_complete():

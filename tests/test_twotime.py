@@ -1,19 +1,35 @@
+"""The two-time protocol's Gram kernel, against the register reference and at every n.
+
+`dense_reference.dense_two_time_probabilities` applies each controlled flip and
+the 4^n noise to the whole 4n-qubit register; `two_time_protocol` contracts one
+2 x 2 Gram matrix per system and outcome and must agree with it to 1e-12.
+"""
+
+import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
+import zenosim.noise
 import zenosim.protocol
+import zenosim.statevec
+from dense_reference import dense_two_time_probabilities
 from zenosim.errors import ContractViolation
 from zenosim.fitting import fit_power_law
 from zenosim.heisenberg import controlled_flip, encoder_matrix
-from zenosim.noise import noise_unitary, random_model, zero_model
+from zenosim.noise import NoiseModel, noise_unitary, random_model, zero_model
 from zenosim.protocol import SYNDROME_TO_TWO_TIME, single_cycle, two_time_protocol
 from zenosim.statevec import (
     DenseOperator,
     StateVector,
-    apply,
     basis_state,
+    kron_all,
     operator_on_register,
     product_state,
     random_state,
@@ -21,12 +37,18 @@ from zenosim.statevec import (
 from zenosim.zeno_code import build_code
 
 EPS_GRID = np.geomspace(1e-3, 3e-2, 8)
-CACHES = (zenosim.protocol._two_time_gates, zenosim.protocol._two_time_words, zenosim.protocol._two_time_labels)
+TOL = 1e-12
+CACHES = (zenosim.protocol._two_time_halves, zenosim.protocol._two_time_labels)
+PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
+
+# Hypothesis caches the constants it mines from source files even without an
+# example database, at collection time; keep that cache out of the checkout.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "zenosim-hypothesis")
 
 
 @pytest.fixture
 def cold_caches():
-    """Every per-n two-time cache empty before the test and after it."""
+    """Every two-time cache empty before the test and after it."""
     for cache in CACHES:
         cache.cache_clear()
     yield
@@ -34,86 +56,87 @@ def cold_caches():
         cache.cache_clear()
 
 
-def _bits(array):
-    """uint64 words of the real and imaginary parts, with -0.0 folded into +0.0."""
-    return (np.asarray(array, dtype=complex) + 0.0).view(np.uint64)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(PROPERTY_SETTINGS, max_examples=15)
+@given(
+    model_seed=st.integers(0, 2**16),
+    psi_seed=st.integers(0, 2**16),
+    basis=st.booleans(),
+    epsilon=st.floats(0.0, 2.0),
+)
+def test_gram_kernel_matches_the_dense_reference(n, model_seed, psi_seed, basis, epsilon):
+    model = random_model(n, model_seed)
+    psi = basis_state(n, psi_seed % 2**n) if basis else random_state(n, psi_seed)
+    expected = dense_two_time_probabilities(model, epsilon, psi)
+    probs = two_time_protocol(model, epsilon, rng_seed=0, psi=psi).probabilities
+    assert np.abs(probs - expected).max() <= TOL
 
 
-def test_gates_and_basis_are_built_once_per_system_count(monkeypatch):
+def test_gates_and_basis_are_built_once_per_system_count(monkeypatch, cold_caches):
+    # the flips and the readout basis enter only the halves, which serve every n
+    built = []
+    real_flip = zenosim.protocol.controlled_flip
+
+    def spy(letter):
+        built.append(letter)
+        return real_flip(letter)
+
+    monkeypatch.setattr(zenosim.protocol, "controlled_flip", spy)
     model = random_model(2, seed=3)
     first = two_time_protocol(model, 0.05, rng_seed=0)
-    built = []
-    monkeypatch.setattr(zenosim.protocol, "controlled_flip", built.append)
-    two_time_protocol(model, 0.2, rng_seed=0)
-    assert built == []
+    assert sorted(built) == ["x", "y"]
+    for n in range(1, 7):
+        two_time_protocol(random_model(n, seed=n), 0.2, rng_seed=0)
+    assert sorted(built) == ["x", "y"]
     assert np.array_equal(two_time_protocol(model, 0.05, rng_seed=0).probabilities, first.probabilities)
-    pre, post = zenosim.protocol._two_time_gates(2)
-    assert all(not gate.matrix.flags.writeable for gate in pre + post)
-    words = zenosim.protocol._two_time_words(2)
-    assert words is zenosim.protocol._two_time_words(2)
-    for sources, phases in words:
-        assert sources.shape == phases.shape == (2**8,)
-        assert not sources.flags.writeable and not phases.flags.writeable
-    assert zenosim.protocol._two_time_labels(2) is zenosim.protocol._two_time_labels(2)
+    halves = zenosim.protocol._two_time_halves()
+    assert halves is zenosim.protocol._two_time_halves() and halves.shape == (16, 32)
     with pytest.raises(ValueError, match="read-only"):
-        zenosim.protocol._comparison_basis(4)[0, 0] = 0.0
-
-
-@pytest.mark.parametrize("n", (1, 2))
-def test_flip_words_match_the_gates_applied_one_by_one_bit_for_bit(n):
-    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    start = product_state(*([plus] * (2 * n)), random_state(n, 4), basis_state(n).amplitudes)
-    states = [random_state(4 * n, seed) for seed in range(20)] + [start]
-    words = zenosim.protocol._two_time_words(n)
-    for gates, word in zip(zenosim.protocol._two_time_gates(n), words):
-        assert len(gates) == 2 * n
-        for state in states:
-            expected = state
-            for gate in gates:
-                expected = apply(gate, expected)
-            gathered = zenosim.protocol._gather(word, state)
-            assert np.array_equal(_bits(gathered.amplitudes), _bits(expected.amplitudes))
+        halves[0, 0] = 0.0
+    assert zenosim.protocol._two_time_labels(2) is zenosim.protocol._two_time_labels(2)
 
 
 @pytest.mark.parametrize("cold", [True, False])
-def test_one_run_applies_one_dense_operator_the_noise(monkeypatch, cold_caches, cold):
+def test_a_run_calls_neither_noise_unitary_nor_apply(monkeypatch, cold_caches, cold):
     model = random_model(2, seed=3)
     if not cold:
         two_time_protocol(model, 0.05, rng_seed=0)
-    applied = []
-    real_apply = zenosim.protocol.apply
+    called = []
+    for module, name in (
+        (zenosim.noise, "noise_unitary"),
+        (zenosim.statevec, "apply"),
+        (zenosim.statevec, "product_state"),
+        (zenosim.statevec, "projection_probabilities"),
+    ):
+        def spy(*args, name=name, real=getattr(module, name), **kwargs):
+            called.append(name)
+            return real(*args, **kwargs)
 
-    def spy(op, state):
-        applied.append(op.target_qubits)
-        return real_apply(op, state)
-
-    monkeypatch.setattr(zenosim.protocol, "apply", spy)
+        for holder in (module, zenosim.protocol):
+            monkeypatch.setattr(holder, name, spy)
     two_time_protocol(model, 0.2, rng_seed=0)
-    assert applied == [(4, 5, 6, 7)]  # the noise on the systems and their environments
+    assert called == []
 
 
-@pytest.mark.parametrize("n", (1, 2))
-def test_two_time_path_keeps_no_array_larger_than_the_register(n, cold_caches):
-    size = 2 ** (4 * n)
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_two_time_path_keeps_no_array_larger_than_the_register(n):
     model = random_model(n, seed=2)
-    model.hamiltonian.eigh  # the model's own cache, 4^n x 4^n, is not the two-time path's
+    psi = random_state(n, 3)
+    two_time_protocol(model, 0.05, rng_seed=0, psi=psi)  # the halves and labels are built once
     tracemalloc.start()
     try:
-        two_time_protocol(model, 0.05, rng_seed=0)
+        two_time_protocol(model, 0.05, rng_seed=0, psi=psi)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    if n == 2:  # one dense register matrix would be 1 MiB
-        assert peak < size * size * 16 / 4
-    pre, post = zenosim.protocol._two_time_gates(n)
-    kept = [gate.matrix for gate in pre + post]
-    kept += [array for word in zenosim.protocol._two_time_words(n) for array in word]
-    kept.append(zenosim.protocol._comparison_basis(2 * n))
-    assert max(array.size for array in kept) <= size
+    # psi psi^dagger, one contraction step's input and output, and the sampler's
+    # copy, plus a few KiB of small objects; at n = 6 the 4n-qubit register
+    # would be 2^24 amplitudes, 256 MiB
+    assert peak < 4 * 4**n * 16 + 8192
 
 
 @pytest.mark.parametrize("defect", ["two entries in a row", "phase of modulus 1/2"])
-def test_a_flip_that_is_not_a_signed_permutation_is_rejected(monkeypatch, cold_caches, defect):
+def test_a_flip_that_is_not_unitary_fails_the_sum_check(monkeypatch, cold_caches, defect):
     def bad_flip(letter):
         mat = controlled_flip(letter).matrix.copy()
         if defect == "two entries in a row":
@@ -123,8 +146,19 @@ def test_a_flip_that_is_not_a_signed_permutation_is_rejected(monkeypatch, cold_c
         return DenseOperator(mat, (0, 1))
 
     monkeypatch.setattr(zenosim.protocol, "controlled_flip", bad_flip)
-    with pytest.raises(ContractViolation, match="two-time flip is not a unit-phase signed permutation"):
+    with pytest.raises(ContractViolation, match="miss the state's norm"):
         two_time_protocol(random_model(1, seed=1), 1e-2, rng_seed=0)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_distribution_is_normalized_and_nonnegative_past_the_old_cap(n):
+    runs = [(random_model(n, seed=n), 3e-2), (random_model(n, seed=n), 0.0), (zero_model(n), 0.5), (zero_model(n), 0.0)]
+    for model, eps in runs:
+        for psi_seed in (1, 2):  # entangled across the systems
+            result = two_time_protocol(model, eps, rng_seed=0, psi=random_state(n, psi_seed))
+            assert result.probabilities.shape == (4**n,) and len(result.labels) == 4**n
+            assert abs(math.fsum(result.probabilities) - 1.0) <= TOL
+            assert (result.probabilities >= 0).all()
 
 
 def test_undisturbed_single_system_has_one_outcome():
@@ -147,11 +181,12 @@ def test_zero_strength_disturbance_is_also_certain():
     assert result.success_probability == pytest.approx(1.0, abs=1e-12)
 
 
-def test_rejects_more_than_two_systems():
-    with pytest.raises(ContractViolation):
-        two_time_protocol(random_model(3, seed=1), 1e-2, rng_seed=0)
-    with pytest.raises(ContractViolation):
-        two_time_protocol(random_model(1, seed=1), 1e-2, rng_seed=0, psi=basis_state(2))
+def test_rejects_more_than_six_systems_and_a_mismatched_state():
+    with pytest.raises(ContractViolation, match="1..6"):
+        two_time_protocol(random_model(7, seed=1), 1e-2, rng_seed=0)
+    for n, psi in ((1, basis_state(2)), (3, random_state(2, 1))):
+        with pytest.raises(ContractViolation, match="qubits"):
+            two_time_protocol(random_model(n, seed=1), 1e-2, rng_seed=0, psi=psi)
 
 
 def test_rejects_an_unnormalized_state():
@@ -199,17 +234,19 @@ def test_full_distribution_matches_syndrome_distribution():
 
 
 def test_two_system_distribution_factorizes_for_independent_noise():
-    model = random_model(2, seed=21)
+    # for a product state each system's outcomes are independent: p(o) = prod_p p_p(o_p)
     eps = 2e-2
-    joint = two_time_protocol(model, eps, rng_seed=0)
-    singles = []
-    for i in range(2):
-        couplings = model.couplings[i : i + 1].copy()
-        sub = type(model)(1, couplings, model.epsilon)
-        singles.append(two_time_protocol(sub, eps, rng_seed=0).probabilities)
-    for outcome in range(16):
-        expected = singles[0][outcome & 3] * singles[1][(outcome >> 2) & 3]
-        assert joint.probabilities[outcome] == pytest.approx(expected, abs=1e-12)
+    for n in range(2, 7):
+        model = random_model(n, seed=21 + n)
+        parts = [random_state(1, 30 + p) for p in range(n)]
+        joint = two_time_protocol(model, eps, rng_seed=0, psi=product_state(*parts))
+        singles = [
+            two_time_protocol(NoiseModel(1, model.couplings[p : p + 1].copy(), model.epsilon), eps,
+                              rng_seed=0, psi=parts[p]).probabilities
+            for p in range(n)
+        ]
+        expected = kron_all(singles, start=(1.0,))  # system 0 on the lowest outcome digit
+        assert np.abs(joint.probabilities - expected).max() <= TOL
 
 
 def test_shared_pair_coupling_to_two_systems_matches_the_code_conditioning():
