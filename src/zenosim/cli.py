@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise ConfigError(f"env_policy: must be 'reset' or 'persist', got {self.env_policy!r}")
         if self.psi_kind not in ("basis", "random-seeded"):
             raise ConfigError(f"psi_kind: must be 'basis' or 'random-seeded', got {self.psi_kind!r}")
+        if self.subcommand == "twotime" and (self.psi_kind, self.psi_seed) != ("basis", 0):
+            raise ConfigError("psi: twotime takes no state, so psi_kind and psi_seed keep their defaults")
         if self.observable not in ("failure", "infidelity"):
             raise ConfigError(f"observable: must be 'failure' or 'infidelity', got {self.observable!r}")
         if self.output_format not in ("csv", "json"):
@@ -163,9 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", default=None, help="comma list or lo..hi geometric range")
         p.add_argument("--points", type=int, default=8, help="points for a lo..hi range")
         p.add_argument("--model-file", default=None, help="JSON noise model (sets noise kind)")
-        p.add_argument("--psi", choices=("basis", "random-seeded"), default=None)
-        p.add_argument("--psi-seed", type=int, default=None)
-        if name == "sweep":
+        if name == "sweep":  # the two-time readout does not depend on the state
+            p.add_argument("--psi", choices=("basis", "random-seeded"), default=None)
+            p.add_argument("--psi-seed", type=int, default=None)
             p.add_argument("--observable", choices=("failure", "infidelity"), default=None)
 
     p_zeno = sub.add_parser("zeno", help="repeated-measurement suppression runs")
@@ -355,11 +357,10 @@ def _run_zeno(config: ExperimentConfig) -> int:
 
 def _run_twotime(config: ExperimentConfig) -> int:
     model = _noise_model(config, config.n)
-    psi = _system_state(config, config.n)
     label_names = None
     rows = []
     for eps in config.epsilons:
-        result = two_time_protocol(model, eps, config.seed, psi)
+        result = two_time_protocol(model, eps, config.seed)
         if label_names is None:
             label_names = [
                 "p_" + "_".join(f"{vx}{vy}" for vx, vy in label) for label in result.labels

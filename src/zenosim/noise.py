@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .pauli import PAULI_MATRICES
-from .statevec import DenseOperator, hermitian_exp, unit_phases
+from .statevec import DenseOperator, check_phases, hermitian_exp, unit_phases
 
 HERMITICITY_TOL = 1e-12
 
@@ -30,8 +30,9 @@ class NoiseModel:
     """Couplings[i, b] acts on environment qubit i alongside letter b on system qubit i.
 
     The model takes its couplings array over and makes it read-only, so the
-    Hamiltonian (and its eigendecomposition) cached on first use stays valid;
-    `with_epsilon` and `scaled` build new models with empty caches.
+    Hamiltonian (and its eigendecomposition) and the pair eigenbases cached on
+    first use stay valid; `with_epsilon` and `scaled` build new models with
+    empty caches.
     """
 
     n: int
@@ -65,6 +66,20 @@ class NoiseModel:
     def hamiltonian(self) -> DenseOperator:
         """build_hamiltonian(self), built on first use."""
         return build_hamiltonian(self)
+
+    @cached_property
+    def pair_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (w, v) with H_i = v[i] diag(w[i]) v[i]^dagger for every pair, built on first use.
+
+        H_i is pair i's 4x4 term of build_hamiltonian, local index sys + 2 * env,
+        summed in its order; shapes (n, 4) and (n, 4, 4).
+        """
+        h = np.zeros((self.n, 4, 4), dtype=complex)
+        for b in range(4):
+            h += np.einsum("ixy,uv->ixuyv", self.couplings[:, b], PAULI_MATRICES[b]).reshape(self.n, 4, 4)
+        w, v = np.linalg.eigh(h)
+        w.flags.writeable = v.flags.writeable = False
+        return w, v
 
     def with_epsilon(self, epsilon: float) -> "NoiseModel":
         return dataclasses.replace(self, epsilon=epsilon)
@@ -149,14 +164,25 @@ def pair_unitaries(model: NoiseModel, epsilon: float | None = None) -> np.ndarra
 
     H is a sum of commuting terms on disjoint pairs, so exp(i eps H) is the
     tensor product of the returned 4x4 blocks.  Shape (n, 4, 4); the local
-    index is sys + 2 * env, and terms are summed in build_hamiltonian's order.
+    index is sys + 2 * env, and each H_i is diagonalized once per model.
     """
     eps = _strength(model, epsilon)
-    h = np.zeros((model.n, 4, 4), dtype=complex)
-    for b in range(4):
-        h += np.einsum("ixy,uv->ixuyv", model.couplings[:, b], PAULI_MATRICES[b]).reshape(model.n, 4, 4)
-    w, v = np.linalg.eigh(h)
+    w, v = model.pair_eigh
     return (v * unit_phases(eps, w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def pair_deviations(model: NoiseModel, epsilon: float | None = None) -> np.ndarray:
+    """V_i - 1 for the factors of pair_unitaries, shape (n, 4, 4), without forming V_i.
+
+    e^{i eps w} - 1 = -2 sin^2(eps w / 2) + i sin(eps w) keeps every digit
+    where eps w is small, so entries of order eps come out to relative
+    rounding instead of to rounding relative to the 1 they would be taken from.
+    """
+    eps = _strength(model, epsilon)
+    w, v = model.pair_eigh
+    check_phases(eps, w)
+    phases = -2.0 * np.sin(eps * w / 2) ** 2 + 1j * np.sin(eps * w)
+    return (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def model_to_dict(model: NoiseModel) -> dict:

@@ -8,8 +8,8 @@ realism and is always seeded.
 Single cycles and sweeps evolve the full ancilla|system|environment state
 vector under the dense noise unitary; the encoder acts on it as four
 branch words.  The two-time protocol and repeated-measurement runs never
-build the full state; the two-time distribution is contracted from one
-2 x 2 Gram matrix per system and outcome.  The noise factorizes as
+build the full state; the two-time distribution is a product of one
+weight per system and outcome.  The noise factorizes as
 exp(i eps H) = (x)_i V_i over (system i, environment i) pairs, and the encoder is
 sum_a |a><a| (x) sigma_a^(x)n, so the syndrome-b branch of one cycle is
 1/4 sum_a chi_b(a) (x)_i sigma_a V_i sigma_a, with chi_b(a) =
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .fitting import PowerLawFit, fit_power_law
-from .noise import NoiseModel, noise_unitary, pair_unitaries
+from .noise import NoiseModel, noise_unitary, pair_deviations, pair_unitaries
 from .pauli import PAULI_MATRICES
 from .statevec import (
     NORM_TOL,
@@ -41,7 +41,6 @@ from .statevec import (
     apply,
     basis_state,
     kron_all,
-    operator_on_register,
     overlap_probability,
     postselect,
     product_state,
@@ -49,7 +48,6 @@ from .statevec import (
     sample_outcome,
 )
 from .zeno_code import ZenoCode, check_system_count, check_system_state, decode, encode, prepare
-from .heisenberg import controlled_flip
 
 
 @dataclass(frozen=True)
@@ -327,57 +325,35 @@ def epsilon_sweep(
     return SweepTable(observable, tuple(rows), fit, status)
 
 
-#: One test qubit's readout: column 0 reads it unchanged (+), column 1 flipped (-).
-_COMPARISON = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+#: Syndrome letter -> two-time outcome index for one system (x and y comparisons).
+SYNDROME_TO_TWO_TIME = {0: 0, 1: 2, 2: 1, 3: 3}
 
 #: One system's (x, y) comparison readings for its local outcome o = x + 2y.
 _PAIR_READINGS = ((0, 0), (2, 0), (0, 2), (2, 2))
 
+#: _HALF_TRACES[2 s_out + s_in, o] = sigma_c[s_in, s_out] / 2 for the letter c that
+#: outcome o reads, so a pair operator's system indices contracted with column o
+#: give 1/2 tr_sys(sigma_c X); read-only.
+_HALF_TRACES = np.stack(
+    [PAULI_MATRICES[c].T.reshape(4) for c in sorted(SYNDROME_TO_TWO_TIME, key=SYNDROME_TO_TWO_TIME.get)],
+    axis=1,
+) / 2
+_HALF_TRACES.flags.writeable = False
 
-@cache
-def _two_time_halves() -> np.ndarray:
-    """The strength-independent halves of one system's 16 x 16 block, joined; read-only, built once.
 
-    The block's local qubits are x-test, y-test, system, environment.  The
-    tests start in |+> and the environment in |0>; the x flip couples before
-    the y flip, and they uncouple in reverse, so pre = F_y F_x and
-    post = F_x F_y.  With the noise pair V (local index sys + 2 env) between
-    them, the readout amplitudes of local outcome o for system input s are
-    A(o)[out, s] = sum_{u, w} V[u, w] halves[4u + w, 8o + 2out + s], where
-    halves = sum over the test states of (<o| post)[out, u] (pre |++, s, 0>)[w].
+def _outcome_weights(model: NoiseModel, epsilon: float) -> np.ndarray:
+    """g[p, o] = ||E_c |0>_env||^2 for the letter c that system p's local outcome o reads; shape (n, 4).
+
+    With V_p = sum_c E_c (x) sigma_c, E_c = 1/2 tr_sys(sigma_c V_p).  Only the
+    columns with the environment entering in |0> are read, from the deviation
+    V_p - 1: its identity part adds |0>_env to E_0 alone, since tr sigma_c = 0
+    for every other letter, so the small weights never pass through 1.
     """
-    flips = {letter: operator_on_register(controlled_flip(letter).matrix, (test, 2), 4)
-             for letter, test in (("x", 0), ("y", 1))}
-    pre, post = flips["y"] @ flips["x"], flips["x"] @ flips["y"]
-    start = kron_all([_COMPARISON[:, :1], _COMPARISON[:, :1], np.eye(2), np.eye(2)[:, :1]])  # |++, s, 0>
-    before = (pre @ start).reshape(4, 4, 2)  # [sys env, tests, s]
-    readout = kron_all([_COMPARISON, _COMPARISON])  # column o = x + 2y
-    after = np.einsum("to,xtuv->oxuv", readout.conj(), post.reshape(4, 4, 4, 4))  # [o, out, sys env, tests]
-    halves = np.einsum("oxut,wts->uwoxs", after, before).reshape(16, 32)
-    halves.flags.writeable = False
-    return halves
-
-
-def _outcome_grams(model: NoiseModel, epsilon: float) -> np.ndarray:
-    """G[p, o] = A_p(o)^dagger A_p(o), system p's 2 x 2 Gram matrix for local outcome o; shape (n, 4, 2, 2)."""
     n = model.n
-    amps = (pair_unitaries(model, epsilon).reshape(n, 16) @ _two_time_halves()).reshape(n, 4, 4, 2)
-    return amps.conj().swapaxes(-1, -2) @ amps
-
-
-def _gram_probabilities(grams: np.ndarray, psi: StateVector) -> np.ndarray:
-    """p(o) = <psi| (x)_p G[p, o_p] |psi> for every o = sum_p o_p 4^p, one system at a time.
-
-    Each step contracts system p's ket and bra bits of psi psi^dagger with its
-    four Gram matrices, so the array keeps 4^n entries throughout.
-    """
-    n = grams.shape[0]
-    amps = psi.amplitudes
-    rho = np.outer(amps, amps.conj())[..., None]  # [ket, bra, outcomes so far]
-    for p in range(n):  # system p is the lowest bit still open
-        d = 2 ** (n - 1 - p)
-        rho = np.einsum("ots,asbtk->abok", grams[p], rho.reshape(d, 2, d, 2, -1)).reshape(d, d, -1)
-    return rho.reshape(-1).real
+    deviation = pair_deviations(model, epsilon).reshape(n, 2, 2, 2, 2)[..., 0, :]  # [p, env out, sys out, sys in]
+    letters = deviation.reshape(n, 2, 4) @ _HALF_TRACES  # [p, env out, o]: E_c |0>_env
+    letters[:, 0, SYNDROME_TO_TWO_TIME[0]] += 1.0
+    return (np.abs(letters) ** 2).sum(axis=1)
 
 
 @cache
@@ -386,12 +362,7 @@ def _two_time_labels(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple(_PAIR_READINGS[(o >> 2 * p) & 3] for p in range(n)) for o in range(4**n))
 
 
-def two_time_protocol(
-    disturbance: NoiseModel,
-    epsilon: float,
-    rng_seed: int,
-    psi: StateVector | None = None,
-) -> TwoTimeResult:
+def two_time_protocol(disturbance: NoiseModel, epsilon: float, rng_seed: int) -> TwoTimeResult:
     """Compare each system's x and y components at two times with test qubits.
 
     Per system, one test qubit couples through an x-type controlled flip
@@ -401,24 +372,19 @@ def two_time_protocol(
     sum_p o_p 4^p has system p's x reading in bit 2p and its y reading in
     bit 2p + 1.
 
-    Every flip and every noise pair acts inside one system's block of test,
-    system and environment qubits, and the blocks commute, so only psi
-    couples the systems: p(o) = <psi| (x)_p G_p(o_p) |psi>, with the Gram
-    matrices of `_outcome_grams`.  No register of the 4n qubits is formed.
-    The probabilities must sum to |psi|^2 within NORM_TOL.
+    The flips twirl each pair's noise V_p = sum_c E_c (x) sigma_c, so system
+    p's readout reports the letter c that hit it and nothing about the
+    protected state: p(o) = prod_p g_p(o_p), with the weights of
+    `_outcome_weights`, whatever the state.  Each system's weights must sum
+    to 1 within NORM_TOL, as unitarity of V_p gives.
     """
     n = disturbance.n
     check_system_count(n)
-    if psi is None:
-        psi = basis_state(n)
-    check_system_state(n, psi)
-    probs = _gram_probabilities(_outcome_grams(disturbance, epsilon), psi)
-    defect = abs(math.fsum(probs) - psi.norm() ** 2)
-    if not defect <= NORM_TOL:
-        raise ContractViolation(f"two-time probabilities miss the state's norm by {defect:.3e}")
+    weights = _outcome_weights(disturbance, epsilon)
+    defects = np.abs(weights.sum(axis=1) - 1.0)
+    worst = int(np.argmax(defects))
+    if not defects[worst] <= NORM_TOL:
+        raise ContractViolation(f"system {worst}'s two-time weights miss 1 by {defects[worst]:.3e}")
+    probs = kron_all(weights, start=(1.0,))  # system 0 on the lowest base-4 digit
     sampled = sample_outcome(np.random.default_rng(rng_seed), probs)
     return TwoTimeResult(n, float(epsilon), _two_time_labels(n), probs, sampled)
-
-
-#: Syndrome letter -> two-time outcome index for one system (x and y comparisons).
-SYNDROME_TO_TWO_TIME = {0: 0, 1: 2, 2: 1, 3: 3}

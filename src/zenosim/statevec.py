@@ -57,9 +57,10 @@ def kron_all(blocks, start=((1.0 + 0j,),)) -> np.ndarray:
     Block j sits on the index bits above those of blocks 0..j-1, so the first
     block is on the lowest qubits.  Each step is one outer product with the
     axes interleaved, block axis above accumulator axis: every entry is the
-    one product np.kron forms, without its per-call setup.
+    one product np.kron forms, without its per-call setup.  The product is
+    complex unless `start` and every block are real.
     """
-    out = np.asarray(start, dtype=complex)
+    out = np.asarray(start)
     for block in blocks:
         block = np.asarray(block)
         if block.ndim != out.ndim:
@@ -205,10 +206,15 @@ def operator_on_register(matrix, targets, num_qubits: int) -> np.ndarray:
     return big[np.ix_(j, j)]
 
 
-def unit_phases(t: float, w: np.ndarray) -> np.ndarray:
-    """e^{itw}, once every phase t w is known to be finite (an infinite one would give NaN)."""
+def check_phases(t: float, w: np.ndarray) -> None:
+    """Every phase t w is finite; an infinite one would give NaN in exp or sin."""
     if not math.isfinite(t * float(np.abs(w).max(initial=0.0))):
         raise ContractViolation(f"strength {t!r} overflows the phases of exp(itH)")
+
+
+def unit_phases(t: float, w: np.ndarray) -> np.ndarray:
+    """e^{itw}, once every phase is known to be finite."""
+    check_phases(t, w)
     return np.exp(1j * t * w)
 
 

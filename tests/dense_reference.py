@@ -15,9 +15,10 @@ exponential is built once per run, since the strength per cycle is fixed.
 The production kernel in `zenosim.protocol` must agree with this to 1e-12.
 
 `dense_two_time_probabilities` runs the two-time protocol on the whole
-4n-qubit register of test, system and environment qubits, applying each
-controlled flip and the 4^n noise one by one; `two_time_protocol`'s Gram
-kernel must agree with it to 1e-12.
+4n-qubit register of test, system and environment qubits, holding a system
+state psi, applying each controlled flip and the 4^n noise one by one;
+`two_time_protocol` takes no state and must agree with it to 1e-12 for
+every psi.
 
 `evolve_exact`, `evolve_first_order` and `reduced_density_matrix` are the
 dense evolution and partial trace the noise tests and acceptance criterion 4

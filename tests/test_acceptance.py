@@ -239,10 +239,10 @@ def test_criterion_6_effective_noise_reduction():
 def test_criterion_7_two_time_protocol():
     model = random_model(1, seed=7)
     psi = random_state(1, seed=9)
-    quiet = two_time_protocol(model, 0.0, rng_seed=0, psi=psi)
+    quiet = two_time_protocol(model, 0.0, rng_seed=0)
     undisturbed_defect = abs(quiet.success_probability - 1.0)
     masses = [
-        two_time_protocol(model, float(e), rng_seed=0, psi=psi).other_outcome_mass
+        two_time_protocol(model, float(e), rng_seed=0).other_outcome_mass
         for e in EPS_GRID
     ]
     fit = fit_power_law(EPS_GRID, masses)
@@ -250,7 +250,7 @@ def test_criterion_7_two_time_protocol():
     equiv_defect = 0.0
     for eps in (1e-3, 1e-2, 3e-2):
         cycle = single_cycle(code, model, psi, 0, epsilon=eps)
-        twotime = two_time_protocol(model, eps, rng_seed=0, psi=psi)
+        twotime = two_time_protocol(model, eps, rng_seed=0)
         equiv_defect = max(
             equiv_defect, abs(twotime.success_probability - cycle.success_probability)
         )

@@ -157,6 +157,16 @@ def test_twotime_six_systems(tmp_path):
     assert rows[0][1] == "p_" + "_".join(["00"] * 6)
 
 
+@pytest.mark.parametrize("flag", [["--psi", "random-seeded"], ["--psi-seed", "3"]], ids=["psi", "psi-seed"])
+def test_twotime_takes_no_state(tmp_path, capsys, flag):
+    # the two-time readout depends only on the noise, so it has no state to choose
+    with pytest.raises(SystemExit) as exc:
+        main(["twotime", "--n", "2", "--eps", "1e-2", *flag, "--out", str(tmp_path / "tt.csv")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "tt.csv").exists()
+
+
 def test_invalid_configs_exit_2(tmp_path, capsys):
     assert main(["sweep", "--n", "0", "--eps", "1e-3..3e-2"]) == 2
     assert "n:" in capsys.readouterr().err
@@ -240,6 +250,8 @@ OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp wou
         (lambda tmp: [*ZENO[:1], "--k", "1", *_config(tmp, '{"total_epsilon": "abc"}')], "total_epsilon:"),
         (lambda tmp: [*SWEEP, *_config(tmp, '{"seed": -1}')], "seed:"),
         (lambda tmp: [*ZENO, "--psi", "random-seeded", "--psi-seed", "-1"], "psi_seed:"),
+        (lambda tmp: ["twotime", "--eps", "1e-2", *_config(tmp, '{"psi_kind": "random-seeded"}')], "psi:"),
+        (lambda tmp: ["twotime", "--eps", "1e-2", *_config(tmp, '{"psi_seed": 3}')], "psi:"),
         (lambda tmp: [*SWEEP, *_config(tmp, b'{"n": "\xff"}')], "config:"),
         (lambda tmp: [*SWEEP, "--n", "2", "--model-file", _nan_model_file(tmp)], "model_file:"),
         (lambda tmp: ["zeno", "--n", "2", "--total-eps", "0.1", "--k", "1,2",
@@ -255,7 +267,8 @@ OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp wou
          "sweep-config-k-not-number", "zeno-config-k-not-number", "sweep-config-k-fraction",
          "zeno-config-k-fraction", "zeno-flag-k-fraction", "sweep-config-n-word", "zeno-config-n-word",
          "zeno-config-n-fraction", "sweep-config-list", "zeno-config-list", "zeno-config-total-word",
-         "sweep-config-negative-seed", "zeno-negative-psi-seed", "sweep-config-not-utf8",
+         "sweep-config-negative-seed", "zeno-negative-psi-seed", "twotime-config-psi", "twotime-config-psi-seed",
+         "sweep-config-not-utf8",
          "sweep-nan-couplings", "zeno-nan-couplings", "zeno-reset-phase-overflow",
          "zeno-persist-phase-overflow", "twotime-phase-overflow", "sweep-phase-overflow"],
 )

@@ -13,6 +13,7 @@ from zenosim.noise import (
     model_from_dict,
     model_to_dict,
     noise_unitary,
+    pair_deviations,
     pair_unitaries,
     random_model,
     save_model,
@@ -78,9 +79,24 @@ def test_noise_model_validation():
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
 def test_explicit_non_finite_strength_is_rejected(eps):
     model = random_model(2, seed=3)
-    for call in (lambda: noise_unitary(model, eps), lambda: pair_unitaries(model, eps)):
+    for call in (lambda: noise_unitary(model, eps), lambda: pair_unitaries(model, eps),
+                 lambda: pair_deviations(model, eps)):
         with pytest.raises(ContractViolation, match="noise strength must be finite"):
             call()
+
+
+def test_pair_deviations_are_the_pair_unitaries_minus_one_without_cancellation():
+    model = random_model(3, seed=8)
+    for eps in (0.0, 1e-3, 0.4, 2.0):
+        assert np.abs(pair_deviations(model, eps) + np.eye(4) - pair_unitaries(model, eps)).max() <= 4e-15
+    # at eps = 1e-9 the deviation is i eps H - eps^2 H^2 / 2 to rounding relative
+    # to eps; V - 1 would keep only the digits of V below 1, about 7 of them
+    w, v = model.pair_eigh
+    h = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    eps = 1e-9
+    expected = 1j * eps * h - eps**2 * (h @ h) / 2
+    assert np.abs(pair_deviations(model, eps) - expected).max() <= 1e-14 * eps
+    assert np.abs(pair_unitaries(model, eps) - np.eye(4) - expected).max() > 1e-10 * eps
 
 
 def _bits(op):
