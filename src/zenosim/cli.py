@@ -65,6 +65,10 @@ class ExperimentConfig:
             raise ConfigError("psi: twotime takes no state, so psi_kind and psi_seed keep their defaults")
         if self.observable not in ("failure", "infidelity"):
             raise ConfigError(f"observable: must be 'failure' or 'infidelity', got {self.observable!r}")
+        if self.subcommand in ("sweep", "twotime") and self.env_policy != "reset":
+            raise ConfigError(f"env_policy: only zeno reads it, so {self.subcommand} keeps the default 'reset'")
+        if self.subcommand in ("zeno", "twotime") and self.observable != "failure":
+            raise ConfigError(f"observable: only sweep reads it, so {self.subcommand} keeps the default 'failure'")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output_format: must be 'csv' or 'json', got {self.output_format!r}")
         if self.subcommand in ("sweep", "twotime"):

@@ -48,15 +48,13 @@ class NoiseModel:
             )
         if not np.isfinite(arr).all():
             raise ContractViolation("couplings must be finite")
-        for i in range(self.n):
-            for b in range(4):
-                a = arr[i, b]
-                if not np.abs(a - a.conj().T).max() <= HERMITICITY_TOL:
-                    raise ContractViolation(f"coupling ({i}, {b}) is not hermitian")
-                if not np.abs(np.linalg.eigvalsh(a)).max() <= 1.0 + 1e-9:
-                    raise ContractViolation(
-                        f"coupling ({i}, {b}) has spectral norm > 1"
-                    )
+        hermitian = np.abs(arr - arr.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= HERMITICITY_TOL
+        bounded = np.abs(np.linalg.eigvalsh(arr)).max(axis=-1) <= 1.0 + 1e-9
+        failing = np.argwhere(~(hermitian & bounded))
+        if failing.size:
+            i, b = failing[0]
+            problem = "is not hermitian" if not hermitian[i, b] else "has spectral norm > 1"
+            raise ContractViolation(f"coupling ({i}, {b}) {problem}")
         if not np.isfinite(self.epsilon) or self.epsilon < 0:
             raise ContractViolation("noise strength must be finite and nonnegative")
         arr.flags.writeable = False
@@ -93,13 +91,10 @@ def random_model(n: int, seed: int, epsilon: float = 1e-2) -> NoiseModel:
     """Seeded random Hermitian couplings, each normalized to spectral norm 1."""
     if n < 1:
         raise ContractViolation("need at least one system qubit")
-    rng = np.random.default_rng(seed)
-    couplings = np.zeros((n, 4, 2, 2), dtype=complex)
-    for i in range(n):
-        for b in range(4):
-            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            a = (g + g.conj().T) / 2
-            couplings[i, b] = a / np.abs(np.linalg.eigvalsh(a)).max()
+    draws = np.random.default_rng(seed).normal(size=(n, 4, 2, 2, 2))  # per block: real parts, then imaginary
+    g = draws[:, :, 0] + 1j * draws[:, :, 1]
+    a = (g + g.conj().swapaxes(-1, -2)) / 2
+    couplings = a / np.abs(np.linalg.eigvalsh(a)).max(axis=-1)[..., None, None]
     return NoiseModel(n, couplings, epsilon, seed)
 
 

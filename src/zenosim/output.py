@@ -45,9 +45,9 @@ def write_csv(path, config, columns, rows, fit=None) -> None:
 
 
 def write_json(path, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def data_lines(lines: list[str]) -> list[str]:

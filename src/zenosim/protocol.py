@@ -20,7 +20,8 @@ Under the default "reset" policy each cycle sees a fresh environment: the
 system's density matrix goes through the Kraus channel of that branch sum
 with the environment entering in |0...0>, built once per run.  "persist"
 keeps one environment entangled across the whole run and carries the joint
-system|environment pure state, applying the pair factors one at a time.
+system|environment pure state, applying the pair factors one at a time with
+each pair's two qubits next to each other (`_contract_pairs`).
 """
 
 from __future__ import annotations
@@ -193,15 +194,18 @@ def kraus_operators(code: ZenoCode, model: NoiseModel, epsilon: float) -> np.nda
     for i in range(n):  # pair i becomes the most significant bit so far
         d = 2 ** (i + 1)
         ops = np.einsum("aesu,aEST->aeEsSuT", factors[:, i], ops).reshape(4, d, d, d)
-    return np.tensordot(_branch_signs(code), ops, axes=1)
+    return np.dot(_branch_signs(code).astype(complex), ops.reshape(4, -1)).reshape(ops.shape)
 
 
-def kraus_step(kraus: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Syndrome probabilities p_b = sum_e tr(K[b, e] rho K[b, e]^dagger) and the normalized no-error rho."""
-    k_rho = kraus @ rho
-    probs = np.einsum("besk,besk->b", k_rho, kraus.conj()).real
+def kraus_step(kraus: np.ndarray, kraus_conj: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Syndrome probabilities p_b = sum_e tr(K[b, e] rho K[b, e]^dagger) and the normalized no-error rho.
+
+    `kraus_conj` is kraus.conj(), formed once per run.
+    """
+    k_rho = (kraus.reshape(-1, rho.shape[0]) @ rho).reshape(kraus.shape)
+    probs = np.einsum("besk,besk->b", k_rho, kraus_conj).real
     p0 = _no_error_weight(probs)
-    return probs, (k_rho[0] @ kraus[0].conj().swapaxes(-1, -2)).sum(axis=0) / p0
+    return probs, (k_rho[0] @ kraus_conj[0].swapaxes(-1, -2)).sum(axis=0) / p0
 
 
 def _no_error_weight(probs: np.ndarray) -> float:
@@ -209,6 +213,15 @@ def _no_error_weight(probs: np.ndarray) -> float:
     if not p0 > 1e-300:
         raise ContractViolation("postselection branch has zero weight")
     return p0
+
+
+def _log_success(cycle: CycleResult) -> float:
+    """log p_0 as log1p(-(p_1 + p_2 + p_3)), with no cancellation while the failure is small.
+
+    From 1/2 on, p_0 itself is accurate and the sum may round to 1 or above, so log p_0 is taken directly.
+    """
+    failure = math.fsum(cycle.syndrome_probabilities[1:])
+    return math.log1p(-failure) if failure < 0.5 else math.log(cycle.success_probability)
 
 
 def _cycle_result(probs: np.ndarray, fidelity: float, rng: np.random.Generator) -> CycleResult:
@@ -220,33 +233,59 @@ def _cycle_result(probs: np.ndarray, fidelity: float, rng: np.random.Generator) 
 
 def _reset_policy_run(code, model, eps_c, cycles, psi, rng) -> list[CycleResult]:
     kraus = kraus_operators(code, model, eps_c)
+    kraus_conj = kraus.conj()
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
     results = []
     for _ in range(cycles):
-        probs, rho = kraus_step(kraus, rho)
+        probs, rho = kraus_step(kraus, kraus_conj, rho)
         fidelity = (psi.amplitudes.conj() @ rho @ psi.amplitudes).real
         results.append(_cycle_result(probs, fidelity, rng))
     return results
 
 
+@cache
+def _joint_index(n: int) -> np.ndarray:
+    """index[e, s]: where amplitude (environment e, system s) sits in the pair-interleaved layout; read-only.
+
+    Bit i of s goes to bit 2i and bit i of e to bit 2i + 1, so pair i's local
+    index sys + 2 * env is base-4 digit i.  Shape (2^n, 2^n).
+    """
+    bits = np.arange(2**n)
+    spread = sum(((bits >> i) & 1) << (2 * i) for i in range(n))
+    index = 2 * spread[:, None] + spread
+    index.flags.writeable = False
+    return index
+
+
+def _contract_pairs(states: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """(x)_i factors[a, i] applied to states[a], one batched matmul per pair; shapes (B, 4^n) and (B, n, 4, 4).
+
+    The states are pair-interleaved: pair i's local index sys + 2 * env, that
+    of `pair_unitaries`, is base-4 digit i, pair n - 1 the most significant.
+    Each step multiplies the last axis of the (B, 4^(n-1), 4) view by
+    factors[:, i] and writes that digit back as the most significant, which
+    brings the next pair down to the last axis; after n steps the layout is
+    where it started.
+    """
+    batch, n = factors.shape[:2]
+    rest = 4 ** (n - 1)
+    for i in range(n):
+        states = (factors[:, i] @ states.reshape(batch, rest, 4).swapaxes(-1, -2)).reshape(batch, -1)
+    return states
+
+
 def _persist_policy_run(code, model, eps_c, cycles, psi, rng) -> list[CycleResult]:
-    n = code.n
-    dim = 2**n
-    factors = _branch_factors(model, eps_c).reshape(4, n, 2, 2, 2, 2)  # as in kraus_operators
+    factors = _branch_factors(model, eps_c)
     signs = _branch_signs(code)
-    joint = np.zeros((dim, dim), dtype=complex)  # [environment, system], environment in |0...0>
-    joint[0] = psi.amplitudes
+    index = _joint_index(code.n)
+    joint = np.zeros(4**code.n, dtype=complex)  # pair-interleaved, environment in |0...0>
+    joint[index[0]] = psi.amplitudes
     results = []
     for _ in range(cycles):
-        branches = np.broadcast_to(joint, (4, dim, dim))
-        for i in range(n):
-            hi, lo = 2 ** (n - 1 - i), 2**i
-            split = branches.reshape(4, hi, 2, lo, hi, 2, lo)  # environment bit i, then system bit i
-            branches = np.einsum("apsqt,aHqLhtl->aHpLhsl", factors[:, i], split)
-        branches = signs @ branches.reshape(4, dim * dim)
+        branches = signs @ _contract_pairs(np.broadcast_to(joint, (4, joint.size)), factors)
         probs = (np.abs(branches) ** 2).sum(axis=1)
-        joint = branches[0].reshape(dim, dim) / np.sqrt(_no_error_weight(probs))
-        fidelity = np.sum(np.abs(joint @ psi.amplitudes.conj()) ** 2)
+        joint = branches[0] / np.sqrt(_no_error_weight(probs))
+        fidelity = np.sum(np.abs(joint[index] @ psi.amplitudes.conj()) ** 2)
         results.append(_cycle_result(probs, fidelity, rng))
     return results
 
@@ -264,7 +303,8 @@ def zeno_run(
 
     Per-cycle strength is total_epsilon / cycles, so larger k means more
     frequent measurement of the same total disturbance; the cumulative
-    failure shrinks roughly like 1/k.
+    failure shrinks roughly like 1/k.  It is 1 - prod_k p_0, formed from each
+    cycle's p_1 + p_2 + p_3 rather than by subtracting the product from 1.
     """
     if not isinstance(cycles, int) or cycles < 1:
         raise ContractViolation(f"cycle count must be a positive integer, got {cycles!r}")
@@ -286,7 +326,7 @@ def zeno_run(
         env_policy=env_policy,
         per_cycle=tuple(per_cycle),
         cumulative_success=cumulative,
-        cumulative_failure=float(1.0 - cumulative),
+        cumulative_failure=-math.expm1(math.fsum(_log_success(c) for c in per_cycle)),
         final_conditional_fidelity=per_cycle[-1].conditional_fidelity,
     )
 

@@ -252,6 +252,10 @@ OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp wou
         (lambda tmp: [*ZENO, "--psi", "random-seeded", "--psi-seed", "-1"], "psi_seed:"),
         (lambda tmp: ["twotime", "--eps", "1e-2", *_config(tmp, '{"psi_kind": "random-seeded"}')], "psi:"),
         (lambda tmp: ["twotime", "--eps", "1e-2", *_config(tmp, '{"psi_seed": 3}')], "psi:"),
+        (lambda tmp: [*SWEEP, *_config(tmp, '{"env_policy": "persist"}')], "env_policy: only zeno"),
+        (lambda tmp: ["twotime", "--eps", "1e-2", *_config(tmp, '{"env_policy": "persist"}')], "env_policy: only zeno"),
+        (lambda tmp: [*ZENO, *_config(tmp, '{"observable": "infidelity"}')], "observable: only sweep"),
+        (lambda tmp: ["twotime", "--eps", "1e-2", *_config(tmp, '{"observable": "infidelity"}')], "observable: only sweep"),
         (lambda tmp: [*SWEEP, *_config(tmp, b'{"n": "\xff"}')], "config:"),
         (lambda tmp: [*SWEEP, "--n", "2", "--model-file", _nan_model_file(tmp)], "model_file:"),
         (lambda tmp: ["zeno", "--n", "2", "--total-eps", "0.1", "--k", "1,2",
@@ -268,6 +272,8 @@ OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp wou
          "zeno-config-k-fraction", "zeno-flag-k-fraction", "sweep-config-n-word", "zeno-config-n-word",
          "zeno-config-n-fraction", "sweep-config-list", "zeno-config-list", "zeno-config-total-word",
          "sweep-config-negative-seed", "zeno-negative-psi-seed", "twotime-config-psi", "twotime-config-psi-seed",
+         "sweep-config-env-policy", "twotime-config-env-policy", "zeno-config-observable",
+         "twotime-config-observable",
          "sweep-config-not-utf8",
          "sweep-nan-couplings", "zeno-nan-couplings", "zeno-reset-phase-overflow",
          "zeno-persist-phase-overflow", "twotime-phase-overflow", "sweep-phase-overflow"],
@@ -279,6 +285,18 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
     assert not out.exists()
+
+
+def test_config_fields_the_subcommand_reads_are_recorded(tmp_path):
+    runs = {
+        "zeno": (["zeno", "--n", "1", "--total-eps", "0.1", "--k", "1"], {"env_policy": "persist"}),
+        "sweep": (["sweep", "--n", "2", "--eps", "1e-3..1e-1"], {"observable": "infidelity"}),
+    }
+    for name, (argv, fields) in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert main([*argv, *_config(tmp_path, json.dumps(fields)), "--format", "json", "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert {key: config[key] for key in fields} == fields
 
 
 ONE_PROCESS_RUNS = {

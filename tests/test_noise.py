@@ -52,6 +52,41 @@ def test_random_model_couplings_have_unit_norm():
             assert norm == pytest.approx(1.0, abs=1e-12)
 
 
+def per_block_random_couplings(n, seed):
+    """random_model's couplings drawn and normalized one (i, b) block at a time."""
+    rng = np.random.default_rng(seed)
+    couplings = np.zeros((n, 4, 2, 2), dtype=complex)
+    for i in range(n):
+        for b in range(4):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            a = (g + g.conj().T) / 2
+            couplings[i, b] = a / np.abs(np.linalg.eigvalsh(a)).max()
+    return couplings
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_random_model_draws_the_per_block_stream_bit_for_bit(n):
+    for seed in range(50):
+        assert np.array_equal(random_model(n, seed).couplings, per_block_random_couplings(n, seed)), seed
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ({(1, 2): [[0, 1], [0, 0]], (2, 0): 3 * np.eye(2)}, r"coupling \(1, 2\) is not hermitian"),
+        ({(1, 2): 3 * np.eye(2), (2, 0): [[0, 1], [0, 0]]}, r"coupling \(1, 2\) has spectral norm > 1"),
+        ({(0, 3): 3 * np.array([[0, 1], [0, 0]])}, r"coupling \(0, 3\) is not hermitian"),
+    ],
+    ids=["hermiticity-first", "norm-first", "both-in-one-block"],
+)
+def test_noise_model_names_the_first_failing_block(blocks, message):
+    couplings = np.zeros((3, 4, 2, 2), dtype=complex)
+    for (i, b), block in blocks.items():
+        couplings[i, b] = block
+    with pytest.raises(ContractViolation, match=message):
+        NoiseModel(3, couplings, 0.01)
+
+
 def test_noise_model_validation():
     bad = np.zeros((1, 4, 2, 2), dtype=complex)
     bad[0, 0] = np.array([[0, 1], [0, 0]])

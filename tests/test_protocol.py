@@ -5,7 +5,7 @@ import zenosim.protocol
 import zenosim.statevec
 from zenosim.errors import ContractViolation
 from zenosim.fitting import fit_power_law
-from zenosim.noise import noise_unitary, random_model, zero_model
+from zenosim.noise import NoiseModel, noise_unitary, random_model, zero_model
 from zenosim.protocol import epsilon_sweep, single_cycle, zeno_run
 from zenosim.statevec import DenseOperator, StateVector, basis_state, random_state
 from zenosim.zeno_code import build_code
@@ -166,6 +166,17 @@ def test_doubling_cycles_never_hurts(code1, model1, code2, model2):
             current = zeno_run(code, model, 0.1, k, rng_seed=0, psi=psi).cumulative_failure
             assert current <= previous + 1e-15
             previous = current
+
+
+@pytest.mark.parametrize("policy", ["reset", "persist"])
+def test_cumulative_failure_is_1_when_the_no_error_branch_nearly_vanishes(code1, policy):
+    # letter x coupled to the identity: at eps = pi/2 the noise is i X up to cos(pi/2) ~ 6e-17,
+    # so p_0 ~ 4e-33 and p_1 + p_2 + p_3 sits within rounding of 1
+    couplings = np.zeros((1, 4, 2, 2), dtype=complex)
+    couplings[0, 1] = np.eye(2)
+    run = zeno_run(code1, NoiseModel(1, couplings, 0.0), np.pi / 2, 1, policy)
+    assert 0.0 < run.cumulative_success < 1e-30
+    assert run.cumulative_failure == 1.0
 
 
 def test_cumulative_success_bounded_by_worst_cycle(code2, model2):

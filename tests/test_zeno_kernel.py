@@ -3,10 +3,13 @@
 `dense_reference.dense_zeno_run` simulates the full ancilla|system|environment
 register; the production kernel must reproduce it to 1e-12 and keep the
 channel invariants: probabilities summing to 1, a trace-preserving Kraus
-channel, and a Hermitian positive semidefinite density matrix.
+channel, and a Hermitian positive semidefinite density matrix.  Past the
+dense reference's reach (n = 5, 6) the persist kernel is checked against the
+per-pair 7-index einsum it replaced, kept here as `einsum_persist_run`.
 """
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ from dense_reference import dense_zeno_run
 from zenosim.errors import ContractViolation
 from zenosim.noise import build_hamiltonian, noise_unitary, pair_unitaries, random_model
 from zenosim.pauli import PAULI_MATRICES
-from zenosim.protocol import epsilon_sweep, kraus_operators, kraus_step, zeno_run
+from zenosim.protocol import _branch_factors, _branch_signs, epsilon_sweep, kraus_operators, kraus_step, zeno_run
 from zenosim.statevec import hermitian_exp, operator_on_register, random_state
 from zenosim.zeno_code import build_code
 
@@ -116,7 +119,7 @@ def test_kraus_channel_preserves_trace_and_positivity(n, model_seed, psi_seed, c
     psi = random_state(n, psi_seed).amplitudes
     rho = np.outer(psi, psi.conj())
     for _ in range(cycles):
-        probs, rho = kraus_step(kraus, rho)
+        probs, rho = kraus_step(kraus, kraus.conj(), rho)
         assert abs(probs.sum() - 1.0) <= TOL
         assert np.abs(rho - rho.conj().T).max() <= TOL
         assert abs(np.trace(rho) - 1.0) <= TOL
@@ -164,6 +167,65 @@ def test_vanishing_no_error_branch_is_a_contract_violation(monkeypatch, policy):
     monkeypatch.setattr(zenosim.protocol, "pair_unitaries", lambda model, epsilon: flip[None])
     with pytest.raises(ContractViolation, match="zero weight"):
         zeno_run(CODES[1], random_model(1, 0), 0.1, 1, policy)
+
+
+def einsum_persist_run(code, model, total_epsilon, cycles, psi):
+    """Per-cycle (syndrome probabilities, fidelity) of a persist run, one 7-index einsum per pair.
+
+    The joint state is [environment, system] with qubit i on bit i of each
+    index, so pair i's bits are split out of the middle of both axes.
+    """
+    n = code.n
+    dim = 2**n
+    factors = _branch_factors(model, total_epsilon / cycles).reshape(4, n, 2, 2, 2, 2)
+    joint = np.zeros((dim, dim), dtype=complex)
+    joint[0] = psi.amplitudes
+    results = []
+    for _ in range(cycles):
+        branches = np.broadcast_to(joint, (4, dim, dim))
+        for i in range(n):
+            hi, lo = 2 ** (n - 1 - i), 2**i
+            split = branches.reshape(4, hi, 2, lo, hi, 2, lo)  # environment bit i, then system bit i
+            branches = np.einsum("apsqt,aHqLhtl->aHpLhsl", factors[:, i], split)
+        branches = _branch_signs(code) @ branches.reshape(4, dim * dim)
+        probs = (np.abs(branches) ** 2).sum(axis=1)
+        joint = branches[0].reshape(dim, dim) / np.sqrt(probs[0])
+        results.append((probs, np.sum(np.abs(joint @ psi.amplitudes.conj()) ** 2)))
+    return results
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_persist_kernel_matches_the_einsum_kernel_past_the_dense_reach(n):
+    code, model, psi = build_code(n), random_model(n, 40 + n), random_state(n, n)
+    run = zeno_run(code, model, 0.3, 3, "persist", 0, psi)
+    for cycle, (probs, fidelity) in zip(run.per_cycle, einsum_persist_run(code, model, 0.3, 3, psi), strict=True):
+        assert np.abs(np.subtract(cycle.syndrome_probabilities, probs)).max() <= 1e-13
+        assert abs(cycle.conditional_fidelity - fidelity) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_persist_run_holds_a_few_copies_of_the_branch_states(n):
+    code, model, psi = build_code(n), random_model(n, 1), random_state(n, 2)
+    zeno_run(code, model, 0.2, 1, "persist", 0, psi)  # the model's pair eigenbases and the layout index
+    tracemalloc.start()
+    try:
+        zeno_run(code, model, 0.2, 4, "persist", 0, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    branch_states_bytes = 4 * 4**n * np.dtype(complex).itemsize
+    assert peak <= 4 * branch_states_bytes
+
+
+def test_persist_run_calls_no_einsum(monkeypatch):
+    model = random_model(3, 5)
+    model.pair_eigh  # built on first use, with an einsum of its own
+
+    def einsum(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    assert zeno_run(CODES[3], model, 0.2, 4, "persist", 0, random_state(3, 6)).cycles == 4
 
 
 def test_five_qubit_reset_run_suppresses_failure():
