@@ -39,6 +39,13 @@ from .zeno_code import branch_operator
 LETTERS = {"x": 1, "y": 2, "z": 3}
 _I2 = np.eye(2, dtype=complex)
 _Z = PAULI_MATRICES[3]
+#: Largest defect a passing identity may show.
+_TOL = 1e-12
+#: Model seeds of the n = 1 noise checks.
+_FLIP_PRODUCT_SEED = 11
+_EFFECTIVE_NOISE_SEED = 23
+#: The encoder's conjugation table is checked for system sizes 1.._ENCODER_MAX_N.
+_ENCODER_MAX_N = 4
 
 
 def _letter(a) -> int:
@@ -89,8 +96,8 @@ class IdentityReport:
         }
 
 
-def _report(identity: str, defect: float, tol: float = 1e-12, note: str = "") -> IdentityReport:
-    status = "pass" if defect <= tol else "fail"
+def _report(identity: str, defect: float, note: str = "") -> IdentityReport:
+    status = "pass" if defect <= _TOL else "fail"
     return IdentityReport(identity, status, float(defect), note)
 
 
@@ -196,7 +203,7 @@ def ancilla_factor_expectation(a) -> float:
     1 for the identity letter, exactly 0 otherwise: every non-identity
     factor contains a sigma_z acting on a spin-up-along-x qubit.
     """
-    fac = ancilla_factor(a if a != 0 else 0)
+    fac = ancilla_factor(a)
     start = syndrome_state(0)
     return float((start.conj() @ fac @ start).real)
 
@@ -245,7 +252,7 @@ def _syndrome_distribution(encoder_full, decoder_full, model, epsilon, psi) -> n
     return projection_probabilities(state, (0, 1), basis)
 
 
-def verify_flip_product_equivalence(seed: int = 11) -> IdentityReport:
+def verify_flip_product_equivalence() -> IdentityReport:
     """Physical agreement of the flip-product and canonical encoders (n = 1).
 
     The two constructions wire the x and z error letters to swapped
@@ -255,10 +262,10 @@ def verify_flip_product_equivalence(seed: int = 11) -> IdentityReport:
     """
     canonical = encoder_matrix(1)
     flips = flip_product_encoder()
-    model = random_model(1, seed)
+    model = random_model(1, _FLIP_PRODUCT_SEED)
     worst = 0.0
     for trial in range(3):
-        psi = random_state(1, seed + 17 * trial)
+        psi = random_state(1, _FLIP_PRODUCT_SEED + 17 * trial)
         p_canonical = _syndrome_distribution(canonical, canonical, model, 2e-2, psi.amplitudes)
         p_flips = _syndrome_distribution(flips, flips.conj().T, model, 2e-2, psi.amplitudes)
         relabeled = p_flips[[0, 3, 2, 1]]
@@ -312,9 +319,9 @@ def _syndrome_basis_report() -> IdentityReport:
     )
 
 
-def _encoder_conjugation_report(max_n: int = 4) -> IdentityReport:
+def _encoder_conjugation_report() -> IdentityReport:
     worst = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, _ENCODER_MAX_N + 1):
         cmat = encoder_matrix(n)
         m = n + 2
         inv = np.abs(cmat @ cmat - np.eye(2**m)).max()
@@ -328,7 +335,7 @@ def _encoder_conjugation_report(max_n: int = 4) -> IdentityReport:
                     np.diag(np.array(diagonal, dtype=complex)), (0, 1), m
                 ) @ operator_on_register(PAULI_MATRICES[b], (2 + j,), m)
                 worst = max(worst, float(np.abs(dense - rhs).max()))
-    return _report("encoder-conjugation", worst, note=f"system sizes 1..{max_n}, all letters and positions")
+    return _report("encoder-conjugation", worst, note=f"system sizes 1..{_ENCODER_MAX_N}, all letters and positions")
 
 
 def _expectation_report() -> IdentityReport:
@@ -339,11 +346,11 @@ def _expectation_report() -> IdentityReport:
     return _report("ancilla-factor-expectation", worst)
 
 
-def _effective_noise_reports(seed: int = 23) -> list[IdentityReport]:
-    model = random_model(1, seed)
+def _effective_noise_reports() -> list[IdentityReport]:
+    model = random_model(1, _EFFECTIVE_NOISE_SEED)
     couplings = np.zeros((1, 4, 2, 2), dtype=complex)
     couplings[0, 0] = model.couplings[0, 0]
-    identity_only = NoiseModel(1, couplings, 0.0)
+    identity_only = NoiseModel(1, couplings)
     exact = effective_noise_check(identity_only, 0.1)
     reports = [
         _report(

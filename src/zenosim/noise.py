@@ -5,7 +5,8 @@ Each system qubit i gets its own environment qubit and four Hermitian
 identity, i.e. dresses the environment without touching the system).
 The interaction generator is the sum of letter-times-coupling terms and
 the dimensionless strength multiplies it in the exponent, so evolution
-is exp(+i * eps * H).
+is exp(+i * eps * H).  The strength is the experiment's control knob, not
+part of the model: every evolution takes it as an argument.
 """
 
 from __future__ import annotations
@@ -29,18 +30,19 @@ HERMITICITY_TOL = 1e-12
 class NoiseModel:
     """Couplings[i, b] acts on environment qubit i alongside letter b on system qubit i.
 
-    The model takes its couplings array over and makes it read-only, so the
-    Hamiltonian (and its eigendecomposition) and the pair eigenbases cached on
-    first use stay valid; `with_epsilon` and `scaled` build new models with
-    empty caches.
+    The model holds no strength.  It takes its couplings array over and makes
+    it read-only, so the Hamiltonian (and its eigendecomposition) and the pair
+    eigenbases cached on first use stay valid; `scaled` builds a new model
+    with empty caches.  `seed` records where random couplings came from.
     """
 
     n: int
     couplings: np.ndarray  # shape (n, 4, 2, 2), each slice Hermitian with spectral norm <= 1
-    epsilon: float
-    seed: int | None = None
+    seed: int | None = dataclasses.field(default=None, kw_only=True)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ContractViolation("need at least one system qubit")
         arr = np.asarray(self.couplings, dtype=complex)
         if arr.shape != (self.n, 4, 2, 2):
             raise ContractViolation(
@@ -55,8 +57,6 @@ class NoiseModel:
             i, b = failing[0]
             problem = "is not hermitian" if not hermitian[i, b] else "has spectral norm > 1"
             raise ContractViolation(f"coupling ({i}, {b}) {problem}")
-        if not np.isfinite(self.epsilon) or self.epsilon < 0:
-            raise ContractViolation("noise strength must be finite and nonnegative")
         arr.flags.writeable = False
         object.__setattr__(self, "couplings", arr)
 
@@ -79,27 +79,22 @@ class NoiseModel:
         w.flags.writeable = v.flags.writeable = False
         return w, v
 
-    def with_epsilon(self, epsilon: float) -> "NoiseModel":
-        return dataclasses.replace(self, epsilon=epsilon)
-
     def scaled(self, factor: float) -> "NoiseModel":
         """Multiply every coupling by `factor` (result must stay within norm 1)."""
         return dataclasses.replace(self, couplings=self.couplings * factor)
 
 
-def random_model(n: int, seed: int, epsilon: float = 1e-2) -> NoiseModel:
+def random_model(n: int, seed: int) -> NoiseModel:
     """Seeded random Hermitian couplings, each normalized to spectral norm 1."""
-    if n < 1:
-        raise ContractViolation("need at least one system qubit")
     draws = np.random.default_rng(seed).normal(size=(n, 4, 2, 2, 2))  # per block: real parts, then imaginary
     g = draws[:, :, 0] + 1j * draws[:, :, 1]
     a = (g + g.conj().swapaxes(-1, -2)) / 2
     couplings = a / np.abs(np.linalg.eigvalsh(a)).max(axis=-1)[..., None, None]
-    return NoiseModel(n, couplings, epsilon, seed)
+    return NoiseModel(n, couplings, seed=seed)
 
 
-def zero_model(n: int, epsilon: float = 0.0) -> NoiseModel:
-    return NoiseModel(n, np.zeros((n, 4, 2, 2), dtype=complex), epsilon)
+def zero_model(n: int) -> NoiseModel:
+    return NoiseModel(n, np.zeros((n, 4, 2, 2), dtype=complex))
 
 
 def build_hamiltonian(model: NoiseModel) -> DenseOperator:
@@ -128,52 +123,48 @@ def build_hamiltonian(model: NoiseModel) -> DenseOperator:
     return DenseOperator(h, tuple(range(2, 2 * n + 2)), hermitian=True)
 
 
-def _strength(model: NoiseModel, epsilon: float | None) -> float:
-    """The explicit strength, or the model's own; either must be finite."""
-    eps = model.epsilon if epsilon is None else epsilon
-    if not math.isfinite(eps):
-        raise ContractViolation(f"noise strength must be finite, got {eps!r}")
-    return eps
+def _strength(epsilon: float) -> float:
+    if not math.isfinite(epsilon):
+        raise ContractViolation(f"noise strength must be finite, got {epsilon!r}")
+    return epsilon
 
 
-def noise_unitary(
-    model: NoiseModel, epsilon: float | None = None, *, fresh_environment: bool = False
-) -> DenseOperator:
-    """exp(+i eps H) on the system|environment block (standard targets).
+def noise_unitary(model: NoiseModel, epsilon: float) -> DenseOperator:
+    """exp(+i eps H) on the system|environment block (standard targets), fresh-environment columns only.
 
     H is diagonalized once per model; each call only redoes the phases.
-    With `fresh_environment`, only the columns where the environment is in
-    |0...0> are formed, U (1 (x) |0...0><0...0|_env): the environment bits
-    are the high bits of the block index, so these are the first 2^n
-    columns, and the rest of the matrix is zero.  Applied to a state whose
-    environment is |0...0>, the result is bit for bit that of the whole U.
+    Only the columns where the environment is in |0...0> are formed,
+    U (1 (x) |0...0><0...0|_env): the environment bits are the high bits of
+    the block index, so these are the first 2^n columns, and the rest of the
+    matrix is zero.  Applied to a state whose environment is |0...0>, the
+    result is bit for bit that of the whole U, which is
+    `hermitian_exp(model.hamiltonian, eps)`.
     """
     # A product with fewer than four columns does not round like the first
     # columns of the whole product on every BLAS, so n = 1 forms all of U.
-    columns = max(2**model.n, 4) if fresh_environment else None
-    return hermitian_exp(model.hamiltonian, _strength(model, epsilon), columns)
+    return hermitian_exp(model.hamiltonian, _strength(epsilon), max(2**model.n, 4))
 
 
-def pair_unitaries(model: NoiseModel, epsilon: float | None = None) -> np.ndarray:
+def pair_unitaries(model: NoiseModel, epsilon: float) -> np.ndarray:
     """The factors V_i = exp(+i eps H_i) of noise_unitary, one per (system i, environment i) pair.
 
     H is a sum of commuting terms on disjoint pairs, so exp(i eps H) is the
     tensor product of the returned 4x4 blocks.  Shape (n, 4, 4); the local
     index is sys + 2 * env, and each H_i is diagonalized once per model.
     """
-    eps = _strength(model, epsilon)
+    eps = _strength(epsilon)
     w, v = model.pair_eigh
     return (v * unit_phases(eps, w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def pair_deviations(model: NoiseModel, epsilon: float | None = None) -> np.ndarray:
+def pair_deviations(model: NoiseModel, epsilon: float) -> np.ndarray:
     """V_i - 1 for the factors of pair_unitaries, shape (n, 4, 4), without forming V_i.
 
     e^{i eps w} - 1 = -2 sin^2(eps w / 2) + i sin(eps w) keeps every digit
     where eps w is small, so entries of order eps come out to relative
     rounding instead of to rounding relative to the 1 they would be taken from.
     """
-    eps = _strength(model, epsilon)
+    eps = _strength(epsilon)
     w, v = model.pair_eigh
     check_phases(eps, w)
     phases = -2.0 * np.sin(eps * w / 2) ** 2 + 1j * np.sin(eps * w)
@@ -181,31 +172,19 @@ def pair_deviations(model: NoiseModel, epsilon: float | None = None) -> np.ndarr
 
 
 def model_to_dict(model: NoiseModel) -> dict:
-    return {
-        "n": model.n,
-        "epsilon": model.epsilon,
-        "seed": model.seed,
-        "couplings": [
-            [
-                [[[float(z.real), float(z.imag)] for z in row] for row in model.couplings[i, b]]
-                for b in range(4)
-            ]
-            for i in range(model.n)
-        ],
-    }
+    """n, seed, and the couplings as [real, imaginary] pairs, shape (n, 4, 2, 2, 2)."""
+    pairs = np.stack([model.couplings.real, model.couplings.imag], axis=-1)
+    return {"n": model.n, "seed": model.seed, "couplings": pairs.tolist()}
 
 
 def model_from_dict(data: dict) -> NoiseModel:
-    n = int(data["n"])
-    couplings = np.zeros((n, 4, 2, 2), dtype=complex)
-    for i in range(n):
-        for b in range(4):
-            for r in range(2):
-                for c in range(2):
-                    re, im = data["couplings"][i][b][r][c]
-                    couplings[i, b, r, c] = re + 1j * im
+    """The model of `model_to_dict`'s layout; a legacy "epsilon" key is ignored."""
+    pairs = np.asarray(data["couplings"])  # ValueError when ragged
+    if pairs.dtype.kind not in "iuf" or pairs.shape[-1:] != (2,):
+        raise ContractViolation("couplings must be [real, imaginary] pairs of numbers")
     seed = data.get("seed")
-    return NoiseModel(n, couplings, float(data["epsilon"]), None if seed is None else int(seed))
+    couplings = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]  # signed zeros kept
+    return NoiseModel(int(data["n"]), couplings, seed=None if seed is None else int(seed))
 
 
 def save_model(model: NoiseModel, path) -> None:

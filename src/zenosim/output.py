@@ -18,16 +18,11 @@ def format_float(x: float) -> str:
     return f"{float(x):.11e}"
 
 
-def csv_lines(
-    config: dict,
-    columns: list[str],
-    rows: list[tuple],
-    fit: dict | None = None,
-    timestamp: bool = True,
-) -> list[str]:
-    lines = ["# config: " + json.dumps(config, sort_keys=True)]
-    if timestamp:
-        lines.append("# generated: " + datetime.now(timezone.utc).isoformat())
+def csv_lines(config: dict, columns: list[str], rows: list[tuple], fit: dict | None = None) -> list[str]:
+    lines = [
+        "# config: " + json.dumps(config, sort_keys=True),
+        "# generated: " + datetime.now(timezone.utc).isoformat(),
+    ]
     # the csv module quotes a text cell holding a comma; numeric cells never need it
     table = io.StringIO()
     writer = csv.writer(table, lineterminator="\n")

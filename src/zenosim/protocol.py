@@ -124,7 +124,7 @@ def _attach_environment(state: StateVector, n: int) -> StateVector:
 
 def _cycle_state(code: ZenoCode, state: StateVector, model: NoiseModel, epsilon: float) -> StateVector:
     state = encode(code, state)
-    state = apply(noise_unitary(model, epsilon, fresh_environment=True), state)
+    state = apply(noise_unitary(model, epsilon), state)
     return decode(code, state)
 
 
@@ -140,7 +140,7 @@ def single_cycle(
     model: NoiseModel,
     psi: StateVector,
     rng_seed: int,
-    epsilon: float | None = None,
+    epsilon: float,
 ) -> CycleResult:
     """Run one protection cycle and report its exact statistics.
 
@@ -150,10 +150,9 @@ def single_cycle(
     """
     if model.n != code.n:
         raise ContractViolation(f"noise model has n={model.n} but code has n={code.n}")
-    eps = model.epsilon if epsilon is None else epsilon
     reference = prepare(code, psi)
     start = _attach_environment(reference, code.n)
-    state = _cycle_state(code, start, model, eps)
+    state = _cycle_state(code, start, model, epsilon)
     _check_norm_drift(start, state)
     probs = projection_probabilities(state, (0, 1), code.syndrome_basis)
     _, post = postselect(state, (0, 1), code.in_state)

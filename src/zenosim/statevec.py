@@ -326,18 +326,14 @@ def postselect(state: StateVector, targets, vector) -> tuple[float, StateVector]
     return p, StateVector(_merge_targets(post, targets, state.num_qubits))
 
 
-def overlap_probability(state: StateVector, reference: StateVector, start_qubit: int = 0) -> float:
-    """Probability of finding the contiguous block at `start_qubit` in `reference`."""
+def overlap_probability(state: StateVector, reference: StateVector) -> float:
+    """Probability of finding the lowest `reference.num_qubits` qubits of `state` in `reference`."""
     k = reference.num_qubits
     m = state.num_qubits
-    if start_qubit < 0 or start_qubit + k > m:
-        raise ContractViolation(
-            f"reference of {k} qubits at offset {start_qubit} exceeds a {m}-qubit register"
-        )
+    if k > m:
+        raise ContractViolation(f"reference of {k} qubits exceeds a {m}-qubit register")
     if not abs(reference.norm() - 1.0) <= 1e-9:
         raise ContractViolation("reference state must be normalized")
-    high = 2 ** (m - k - start_qubit)
-    low = 2**start_qubit
-    arr = state.amplitudes.reshape(high, 2**k, low)
+    arr = state.amplitudes.reshape(2 ** (m - k), 2**k)
     contracted = np.tensordot(reference.amplitudes.conj(), arr, axes=([0], [1]))
     return float(np.sum(np.abs(contracted) ** 2))

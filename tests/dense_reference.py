@@ -31,7 +31,6 @@ import numpy as np
 
 from zenosim.errors import ContractViolation
 from zenosim.heisenberg import controlled_flip, encoder_matrix
-from zenosim.noise import noise_unitary
 from zenosim.pauli import PAULI_MATRICES
 from zenosim.protocol import CycleResult, RunResult
 from zenosim.statevec import (
@@ -41,6 +40,7 @@ from zenosim.statevec import (
     apply,
     basis_state,
     branch_vector,
+    hermitian_exp,
     kron_all,
     operator_on_register,
     overlap_probability,
@@ -118,7 +118,7 @@ def dense_zeno_run(code, model, total_epsilon, cycles, env_policy="reset", rng_s
         psi = basis_state(code.n)
     eps_c = total_epsilon / cycles
     encoder = DenseOperator(encoder_matrix(code.n), tuple(range(code.n + 2)))
-    unitary = noise_unitary(model, eps_c)
+    unitary = hermitian_exp(model.hamiltonian, eps_c)
     rng = np.random.default_rng(rng_seed)
     runner = _reset_run if env_policy == "reset" else _persist_run
     per_cycle = runner(code, encoder, unitary, cycles, psi, rng)
@@ -151,7 +151,7 @@ def dense_two_time_probabilities(model, epsilon, psi) -> np.ndarray:
     # ascending time: outer pair (highest index) couples first and last
     pre = [flip("x", p) for p in reversed(range(n))] + [flip("y", p) for p in reversed(range(n))]
     post = [flip("y", p) for p in range(n)] + [flip("x", p) for p in range(n)]
-    noise = noise_unitary(model, epsilon).retargeted(range(tests, tests + 2 * n))
+    noise = hermitian_exp(model.hamiltonian, epsilon).retargeted(range(tests, tests + 2 * n))
     for gate in [*pre, noise, *post]:
         state = apply(gate, state)
     single = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -166,23 +166,22 @@ def _sys_env_offset(state, n: int) -> int:
     raise ContractViolation(f"state has {state.num_qubits} qubits; expected {2 * n} or {2 * n + 2}")
 
 
-def evolve_exact(state, model, epsilon=None) -> StateVector:
+def evolve_exact(state, model, epsilon) -> StateVector:
     """Unitary evolution of the system+environment block; the ancilla is untouched."""
     offset = _sys_env_offset(state, model.n)
-    u = noise_unitary(model, epsilon)
+    u = hermitian_exp(model.hamiltonian, epsilon)
     return apply(u.retargeted(tuple(q + offset - 2 for q in u.target_qubits)), state)
 
 
-def evolve_first_order(state, model, renormalize=False, epsilon=None) -> StateVector:
+def evolve_first_order(state, model, epsilon, renormalize=False) -> StateVector:
     """Truncated evolution (1 + i eps H); unnormalized unless `renormalize`.
 
     The output norm differs from 1 at second order in eps.
     """
-    eps = model.epsilon if epsilon is None else epsilon
     offset = _sys_env_offset(state, model.n)
     h = model.hamiltonian
     h = h.retargeted(tuple(q + offset - 2 for q in h.target_qubits))
-    out = StateVector(state.amplitudes + 1j * eps * apply(h, state).amplitudes)
+    out = StateVector(state.amplitudes + 1j * epsilon * apply(h, state).amplitudes)
     return out.normalized() if renormalize else out
 
 

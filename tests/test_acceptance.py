@@ -224,7 +224,7 @@ def test_criterion_6_effective_noise_reduction():
     fit = fit_power_law(EPS_GRID, defects)
     couplings = np.zeros((1, 4, 2, 2), dtype=complex)
     couplings[0, 0] = model.couplings[0, 0]
-    pure_env = NoiseModel(1, couplings, 0.0)
+    pure_env = NoiseModel(1, couplings)
     exact_defect = effective_noise_check(pure_env, 0.1)
     ok = fit is not None and 1.95 <= fit.slope <= 2.05 and exact_defect <= 1e-12
     announce(

