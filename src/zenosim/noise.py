@@ -130,15 +130,15 @@ def _strength(epsilon: float) -> float:
 
 
 def noise_unitary(model: NoiseModel, epsilon: float) -> DenseOperator:
-    """exp(+i eps H) on the system|environment block (standard targets), fresh-environment columns only.
+    """exp(+i eps H) on the system|environment block, with every column of a non-fresh environment zero.
 
-    H is diagonalized once per model; each call only redoes the phases.
+    Use it only on states whose environment is |0...0>; the whole U, for
+    any other state, is `hermitian_exp(model.hamiltonian, eps)`.  H is
+    diagonalized once per model; each call only redoes the phases.
     Only the columns where the environment is in |0...0> are formed,
     U (1 (x) |0...0><0...0|_env): the environment bits are the high bits of
-    the block index, so these are the first 2^n columns, and the rest of the
-    matrix is zero.  Applied to a state whose environment is |0...0>, the
-    result is bit for bit that of the whole U, which is
-    `hermitian_exp(model.hamiltonian, eps)`.
+    the block index, so these are the first 2^n columns.  Applied to a state
+    whose environment is |0...0>, the result is bit for bit that of the whole U.
     """
     # A product with fewer than four columns does not round like the first
     # columns of the whole product on every BLAS, so n = 1 forms all of U.

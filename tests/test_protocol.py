@@ -125,8 +125,8 @@ def test_single_cycle_rejects_non_finite_strength(code1, model1, eps):
 
 
 def test_single_cycle_checks_the_evolved_norm(code2, model2, monkeypatch):
-    def leaky(model, epsilon, **kwargs):
-        u = noise_unitary(model, epsilon, **kwargs)
+    def leaky(model, epsilon):
+        u = noise_unitary(model, epsilon)
         return DenseOperator(u.matrix * (1 + 1e-10), u.target_qubits)
 
     monkeypatch.setattr(zenosim.protocol, "noise_unitary", leaky)

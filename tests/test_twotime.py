@@ -26,9 +26,9 @@ from zenosim.cli import main
 from zenosim.errors import ContractViolation
 from zenosim.fitting import fit_power_law
 from zenosim.heisenberg import controlled_flip, encoder_matrix
-from zenosim.noise import NoiseModel, noise_unitary, pair_deviations, random_model, zero_model
+from zenosim.noise import NoiseModel, pair_deviations, random_model, zero_model
 from zenosim.protocol import SYNDROME_TO_TWO_TIME, single_cycle, two_time_protocol
-from zenosim.statevec import basis_state, kron_all, operator_on_register, product_state, random_state
+from zenosim.statevec import basis_state, hermitian_exp, kron_all, operator_on_register, product_state, random_state
 from zenosim.zeno_code import build_code
 
 EPS_GRID = np.geomspace(1e-3, 3e-2, 8)
@@ -267,7 +267,7 @@ def test_shared_pair_coupling_to_two_systems_matches_the_code_conditioning():
         return operator_on_register(controlled_flip(letter).matrix, ((0 if letter == "x" else 1), 2 + system), m)
 
     pre = flip_full("x", 1) @ flip_full("x", 0) @ flip_full("y", 1) @ flip_full("y", 0)
-    noise_full = operator_on_register(noise_unitary(model, eps).matrix, (2, 3, 4, 5), m)
+    noise_full = operator_on_register(hermitian_exp(model.hamiltonian, eps).matrix, (2, 3, 4, 5), m)
     total = pre.conj().T @ noise_full @ pre
     bra = np.kron(plus, plus)
     blocks = total.reshape(16, 4, 16, 4)
@@ -275,7 +275,7 @@ def test_shared_pair_coupling_to_two_systems_matches_the_code_conditioning():
 
     code = build_code(2)
     enc = operator_on_register(encoder_matrix(2), (0, 1, 2, 3), 6)
-    noi = operator_on_register(noise_unitary(model, eps).matrix, (2, 3, 4, 5), 6)
+    noi = operator_on_register(hermitian_exp(model.hamiltonian, eps).matrix, (2, 3, 4, 5), 6)
     full = enc @ noi @ enc
     code_blocks = full.reshape(16, 4, 16, 4)
     code_cond = np.einsum("a,xayb,b->xy", code.in_state.conj(), code_blocks, code.in_state)
