@@ -26,7 +26,7 @@ from .noise import load_model, random_model
 from .output import write_csv, write_json
 from .protocol import epsilon_sweep, two_time_protocol, zeno_run
 from .statevec import basis_state, random_state
-from .zeno_code import MAX_SYSTEM_QUBITS, build_code
+from .zeno_code import build_code, check_system_count
 
 OUTDIR_ENV_VAR = "ZENOSIM_OUTDIR"
 
@@ -51,8 +51,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.subcommand not in ("verify", "sweep", "zeno", "twotime"):
             raise ConfigError(f"unknown subcommand {self.subcommand!r}")
-        if not isinstance(self.n, int) or self.n < 1 or self.n > MAX_SYSTEM_QUBITS:
-            raise ConfigError(f"n: must be an integer in 1..{MAX_SYSTEM_QUBITS}, got {self.n!r}")
+        try:
+            check_system_count(self.n)
+        except ContractViolation as exc:
+            raise ConfigError(str(exc)) from None
         if self.noise_kind not in ("random", "fixed-from-file"):
             raise ConfigError(f"noise_kind: must be 'random' or 'fixed-from-file', got {self.noise_kind!r}")
         if self.noise_kind == "fixed-from-file" and not self.model_file:

@@ -29,12 +29,12 @@ from .statevec import (
     DenseOperator,
     apply,
     basis_state,
+    kron_all,
     operator_on_register,
     product_state,
     projection_probabilities,
     random_state,
 )
-from .zeno_code import branch_operator
 
 LETTERS = {"x": 1, "y": 2, "z": 3}
 _I2 = np.eye(2, dtype=complex)
@@ -57,6 +57,11 @@ def _letter(a) -> int:
     if a in (1, 2, 3):
         return a
     raise ContractViolation(f"flip letter must be one of x, y, z, got {a!r}")
+
+
+def branch_operator(letter: int, n: int) -> np.ndarray:
+    """The letter applied to each of n qubits, as a dense 2^n matrix: a reference value."""
+    return kron_all([PAULI_MATRICES[letter]] * n)
 
 
 def encoder_matrix(n: int) -> np.ndarray:

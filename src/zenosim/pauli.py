@@ -77,9 +77,6 @@ class PauliString:
         """Dense matrix; labels[0] sits on the least significant (lowest) qubit."""
         return kron_all((PAULI_MATRICES[a] for a in self.labels), start=[[self.phase]])
 
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return pauli_multiply(self, other)
-
 
 def pauli_multiply(p: PauliString, q: PauliString) -> PauliString:
     """Exact product p.q, including the accumulated power of i."""

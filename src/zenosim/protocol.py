@@ -46,7 +46,7 @@ from .statevec import (
     postselect,
     product_state,
     projection_probabilities,
-    sample_outcome,
+    sample_outcomes,
 )
 from .zeno_code import ZenoCode, check_system_count, check_system_state, decode, encode, prepare
 
@@ -157,7 +157,7 @@ def single_cycle(
     probs = projection_probabilities(state, (0, 1), code.syndrome_basis)
     _, post = postselect(state, (0, 1), code.in_state)
     fidelity = overlap_probability(post, reference)
-    return _cycle_result(probs, fidelity, np.random.default_rng(rng_seed))
+    return _cycle_result(probs, fidelity, sample_outcomes(np.random.default_rng(rng_seed), probs[None])[0])
 
 
 def _branch_signs(code: ZenoCode) -> np.ndarray:
@@ -223,23 +223,22 @@ def _log_success(cycle: CycleResult) -> float:
     return math.log1p(-failure) if failure < 0.5 else math.log(cycle.success_probability)
 
 
-def _cycle_result(probs: np.ndarray, fidelity: float, rng: np.random.Generator) -> CycleResult:
+def _cycle_result(probs: np.ndarray, fidelity: float, sampled: int) -> CycleResult:
     p0 = float(probs[0])
-    return CycleResult(
-        p0, float(fidelity), float(1.0 - p0), tuple(float(p) for p in probs), sample_outcome(rng, probs)
-    )
+    return CycleResult(p0, float(fidelity), float(1.0 - p0), tuple(float(p) for p in probs), int(sampled))
 
 
-def _reset_policy_run(code, model, eps_c, cycles, psi, rng) -> list[CycleResult]:
+def _reset_policy_run(code, model, eps_c, cycles, psi) -> tuple[list, list]:
+    """Each cycle's syndrome probabilities and conditional fidelity."""
     kraus = kraus_operators(code, model, eps_c)
     kraus_conj = kraus.conj()
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    results = []
+    probs, fidelities = [], []
     for _ in range(cycles):
-        probs, rho = kraus_step(kraus, kraus_conj, rho)
-        fidelity = (psi.amplitudes.conj() @ rho @ psi.amplitudes).real
-        results.append(_cycle_result(probs, fidelity, rng))
-    return results
+        p, rho = kraus_step(kraus, kraus_conj, rho)
+        probs.append(p)
+        fidelities.append((psi.amplitudes.conj() @ rho @ psi.amplitudes).real)
+    return probs, fidelities
 
 
 @cache
@@ -273,20 +272,20 @@ def _contract_pairs(states: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return states
 
 
-def _persist_policy_run(code, model, eps_c, cycles, psi, rng) -> list[CycleResult]:
+def _persist_policy_run(code, model, eps_c, cycles, psi) -> tuple[list, list]:
+    """Each cycle's syndrome probabilities and conditional fidelity."""
     factors = _branch_factors(model, eps_c)
     signs = _branch_signs(code)
     index = _joint_index(code.n)
     joint = np.zeros(4**code.n, dtype=complex)  # pair-interleaved, environment in |0...0>
     joint[index[0]] = psi.amplitudes
-    results = []
+    probs, fidelities = [], []
     for _ in range(cycles):
         branches = signs @ _contract_pairs(np.broadcast_to(joint, (4, joint.size)), factors)
-        probs = (np.abs(branches) ** 2).sum(axis=1)
-        joint = branches[0] / np.sqrt(_no_error_weight(probs))
-        fidelity = np.sum(np.abs(joint[index] @ psi.amplitudes.conj()) ** 2)
-        results.append(_cycle_result(probs, fidelity, rng))
-    return results
+        probs.append((np.abs(branches) ** 2).sum(axis=1))
+        joint = branches[0] / np.sqrt(_no_error_weight(probs[-1]))
+        fidelities.append(np.sum(np.abs(joint[index] @ psi.amplitudes.conj()) ** 2))
+    return probs, fidelities
 
 
 def zeno_run(
@@ -315,9 +314,10 @@ def zeno_run(
         psi = basis_state(code.n)
     check_system_state(code.n, psi)
     eps_c = total_epsilon / cycles
-    rng = np.random.default_rng(rng_seed)
     runner = _reset_policy_run if env_policy == "reset" else _persist_policy_run
-    per_cycle = runner(code, model, eps_c, cycles, psi, rng)
+    probs, fidelities = runner(code, model, eps_c, cycles, psi)
+    sampled = sample_outcomes(np.random.default_rng(rng_seed), probs)
+    per_cycle = [_cycle_result(*cycle) for cycle in zip(probs, fidelities, sampled)]
     cumulative = float(np.prod([c.success_probability for c in per_cycle]))
     return RunResult(
         cycles=cycles,
@@ -425,5 +425,5 @@ def two_time_protocol(disturbance: NoiseModel, epsilon: float, rng_seed: int) ->
     if not defects[worst] <= NORM_TOL:
         raise ContractViolation(f"system {worst}'s two-time weights miss 1 by {defects[worst]:.3e}")
     probs = kron_all(weights, start=(1.0,))  # system 0 on the lowest base-4 digit
-    sampled = sample_outcome(np.random.default_rng(rng_seed), probs)
+    sampled = int(sample_outcomes(np.random.default_rng(rng_seed), probs[None])[0])
     return TwoTimeResult(n, float(epsilon), _two_time_labels(n), probs, sampled)

@@ -13,7 +13,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,12 +44,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise ContractViolation("cannot normalize a zero vector")
-        return StateVector(self.amplitudes / nrm)
-
 
 def kron_all(blocks, start=((1.0 + 0j,),)) -> np.ndarray:
     """np.kron(block, acc) over `blocks`, from `start`.
@@ -70,26 +64,6 @@ def kron_all(blocks, start=((1.0 + 0j,),)) -> np.ndarray:
         shape = tuple(b * a for b, a in zip(block.shape, out.shape))
         out = np.multiply.outer(block, out).transpose(interleaved).reshape(shape)
     return out
-
-
-def signed_permutation(matrix, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read a matrix with one nonzero entry per row as (sources, phases), over the last two axes.
-
-    out[j] = phases[j] * in[sources[j]] is then the matrix-vector product.
-    Checked exactly, with no tolerance: every row and every column has one
-    nonzero entry, so the sources permute the columns, and every phase has
-    modulus 1.
-    """
-    mat = np.asarray(matrix)
-    sources = np.argmax(np.abs(mat), axis=-1)
-    phases = np.take_along_axis(mat, sources[..., None], axis=-1)[..., 0]
-    if not (
-        (np.count_nonzero(mat, axis=-1) == 1).all()
-        and (np.count_nonzero(mat, axis=-2) == 1).all()
-        and (np.abs(phases) == 1).all()
-    ):
-        raise ContractViolation(f"{what} is not a unit-phase signed permutation")
-    return sources, phases
 
 
 def basis_state(num_qubits: int, index: int = 0) -> StateVector:
@@ -163,9 +137,6 @@ class DenseOperator:
         _check_orthonormal(v, "eigenbasis")
         w.flags.writeable = v.flags.writeable = False
         return w, v
-
-    def retargeted(self, targets) -> "DenseOperator":
-        return replace(self, target_qubits=tuple(targets))
 
 
 def apply(op: DenseOperator, state: StateVector) -> StateVector:
@@ -301,9 +272,19 @@ def projection_probabilities(state: StateVector, targets, basis) -> np.ndarray:
     return (np.abs(amps) ** 2).sum(axis=0)
 
 
-def sample_outcome(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """Draw one outcome index with the Born rule, from probabilities renormalized to sum 1."""
-    return int(rng.choice(probs.size, p=probs / probs.sum()))
+def sample_outcomes(rng: np.random.Generator, probs) -> np.ndarray:
+    """One Born-rule draw per row of `probs`, each row renormalized to sum 1, from one rng double per row.
+
+    Row by row this is rng.choice(row.size, p=row / row.sum()), draw for draw:
+    the cumulative sum, divided by its last entry, counted where it is <= u.
+    """
+    probs = np.asarray(probs, dtype=float)
+    sums = probs.sum(axis=1, keepdims=True)
+    if not (probs.min() >= 0 and 0 < sums.min() <= sums.max() < math.inf):  # NaN fails each comparison
+        raise ContractViolation("probabilities must be finite and nonnegative, with a positive sum")
+    cdf = np.cumsum(probs / sums, axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= rng.random(len(probs))[:, None]).sum(axis=1)
 
 
 def branch_vector(state: StateVector, targets, vector) -> StateVector:

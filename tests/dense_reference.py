@@ -20,6 +20,10 @@ state psi, applying each controlled flip and the 4^n noise one by one;
 `two_time_protocol` takes no state and must agree with it to 1e-12 for
 every psi.
 
+`product_input_first_cycle` is one cycle from psi = |0...0> with a fresh
+environment, computed in O(16 n) from per-pair 4-vectors, with no state
+vector: a reference for the fast kernels past the dense reach.
+
 `evolve_exact`, `evolve_first_order` and `reduced_density_matrix` are the
 dense evolution and partial trace the noise tests and acceptance criterion 4
 check the noise model with.
@@ -27,11 +31,14 @@ check the noise model with.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from zenosim.errors import ContractViolation
 from zenosim.heisenberg import controlled_flip, encoder_matrix
-from zenosim.pauli import PAULI_MATRICES
+from zenosim.noise import pair_unitaries
+from zenosim.pauli import PAULI_MATRICES, conjugation_sign
 from zenosim.protocol import CycleResult, RunResult
 from zenosim.statevec import (
     DenseOperator,
@@ -47,7 +54,7 @@ from zenosim.statevec import (
     postselect,
     product_state,
     projection_probabilities,
-    sample_outcome,
+    sample_outcomes,
 )
 from zenosim.zeno_code import prepare
 
@@ -73,7 +80,8 @@ def _cycle_state(encoder, state, unitary):
 
 def _cycle_result(probs, fidelity, rng) -> CycleResult:
     p0 = float(probs[0])
-    return CycleResult(p0, float(fidelity), float(1.0 - p0), tuple(float(p) for p in probs), sample_outcome(rng, probs))
+    sampled = int(sample_outcomes(rng, probs[None])[0])
+    return CycleResult(p0, float(fidelity), float(1.0 - p0), tuple(float(p) for p in probs), sampled)
 
 
 def _reset_run(code, encoder, unitary, cycles, psi, rng):
@@ -146,16 +154,38 @@ def dense_two_time_probabilities(model, epsilon, psi) -> np.ndarray:
     state = product_state(*([plus] * tests), psi, basis_state(n).amplitudes)
 
     def flip(letter, p):
-        return controlled_flip(letter).retargeted((2 * p + (letter == "y"), tests + p))
+        return replace(controlled_flip(letter), target_qubits=(2 * p + (letter == "y"), tests + p))
 
     # ascending time: outer pair (highest index) couples first and last
     pre = [flip("x", p) for p in reversed(range(n))] + [flip("y", p) for p in reversed(range(n))]
     post = [flip("y", p) for p in range(n)] + [flip("x", p) for p in range(n)]
-    noise = hermitian_exp(model.hamiltonian, epsilon).retargeted(range(tests, tests + 2 * n))
+    noise = replace(hermitian_exp(model.hamiltonian, epsilon), target_qubits=tuple(range(tests, tests + 2 * n)))
     for gate in [*pre, noise, *post]:
         state = apply(gate, state)
     single = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
     return projection_probabilities(state, range(tests), kron_all([single] * tests))
+
+
+def product_input_first_cycle(model, epsilon) -> tuple[np.ndarray, float]:
+    """Syndrome probabilities and postselected infidelity of one cycle from |0...0>, fresh environment.
+
+    Branch b is sum_a S[b, a] (x)_i w[a, i], with S[b, a] = chi_b(a) / 4 and
+    w[a, i] = sigma_a V_i sigma_a |0, 0> a 4-vector of pair i (local index
+    sys + 2 * env, sigma_a on the system bit): a sum of four product states.
+    So ||B_b||^2 = sum_{a, a'} S[b, a] S[b, a'] prod_i <w[a', i]|w[a, i]>,
+    and the fidelity is the same sum over each pair's system-|0> entries,
+    divided by ||B_0||^2.
+    """
+    signs = np.array([[conjugation_sign(a, b) for a in range(4)] for b in range(4)]) / 4
+    flips = np.stack([np.kron(np.eye(2), PAULI_MATRICES[a]) for a in range(4)])[:, None]
+    w = (flips @ pair_unitaries(model, epsilon)[None] @ flips)[..., 0]  # [a, i, local index]
+
+    def weights(entries):
+        gram = np.prod(np.einsum("cik,aik->cai", w[..., entries].conj(), w[..., entries]), axis=-1)
+        return np.einsum("bc,ca,ba->b", signs, gram, signs).real
+
+    probs = weights([0, 1, 2, 3])
+    return probs, 1.0 - weights([0, 2])[0] / probs[0]
 
 
 def _sys_env_offset(state, n: int) -> int:
@@ -170,7 +200,7 @@ def evolve_exact(state, model, epsilon) -> StateVector:
     """Unitary evolution of the system+environment block; the ancilla is untouched."""
     offset = _sys_env_offset(state, model.n)
     u = hermitian_exp(model.hamiltonian, epsilon)
-    return apply(u.retargeted(tuple(q + offset - 2 for q in u.target_qubits)), state)
+    return apply(replace(u, target_qubits=tuple(q + offset - 2 for q in u.target_qubits)), state)
 
 
 def evolve_first_order(state, model, epsilon, renormalize=False) -> StateVector:
@@ -180,9 +210,9 @@ def evolve_first_order(state, model, epsilon, renormalize=False) -> StateVector:
     """
     offset = _sys_env_offset(state, model.n)
     h = model.hamiltonian
-    h = h.retargeted(tuple(q + offset - 2 for q in h.target_qubits))
-    out = StateVector(state.amplitudes + 1j * epsilon * apply(h, state).amplitudes)
-    return out.normalized() if renormalize else out
+    h = replace(h, target_qubits=tuple(q + offset - 2 for q in h.target_qubits))
+    out = state.amplitudes + 1j * epsilon * apply(h, state).amplitudes
+    return StateVector(out / np.linalg.norm(out) if renormalize else out)
 
 
 def reduced_density_matrix(state, keep) -> np.ndarray:

@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import zenosim.zeno_code
 from zenosim.errors import ContractViolation
-from zenosim.heisenberg import encoder_matrix
+from zenosim.heisenberg import branch_operator, encoder_matrix
 from zenosim.pauli import PAULI_MATRICES, PauliString, conjugate_by_encoder, syndrome_state
 from zenosim.statevec import (
     DenseOperator,
@@ -15,15 +16,15 @@ from zenosim.statevec import (
     product_state,
     projection_probabilities,
     random_state,
-    sample_outcome,
+    sample_outcomes,
 )
-from zenosim.zeno_code import branch_operator, build_code, decode, encode, prepare
+from zenosim.zeno_code import build_code, decode, encode, prepare
 
 
 def measure_syndrome(code, state, rng_seed):
     """The ancilla read in the syndrome basis: a sampled letter and every letter's probability."""
     probs = projection_probabilities(state, (0, 1), code.syndrome_basis)
-    return sample_outcome(np.random.default_rng(rng_seed), probs), probs
+    return sample_outcomes(np.random.default_rng(rng_seed), probs[None])[0], probs
 
 
 def _bits(state):
@@ -236,17 +237,50 @@ def test_encode_of_the_sweep_start_state_is_bitwise_the_dense_encoder(n):
 @pytest.mark.parametrize(
     "word",
     [
-        np.roll(np.eye(4, dtype=complex), 1, axis=1),  # a 4-cycle: a permutation, not an involution
-        1j * np.kron(PAULI_MATRICES[1], PAULI_MATRICES[1]),  # i XX squares to -1
-        2 * np.kron(PAULI_MATRICES[1], PAULI_MATRICES[1]),  # phase of modulus 2
-        np.exp(0.3j) * np.kron(PAULI_MATRICES[3], PAULI_MATRICES[0]),  # squares to exp(0.6i)
-        np.kron(PAULI_MATRICES[1], PAULI_MATRICES[0]) + np.eye(4),  # two entries per row
+        (1, 1j * PAULI_MATRICES[1]),  # i X squares to -1
+        (3, np.exp(0.3j) * PAULI_MATRICES[3]),  # squares to exp(0.6i)
+        (1, np.array([[0, 0.5], [2, 0]], dtype=complex)),  # an involution, but phases of modulus 1/2 and 2
+        (2, PAULI_MATRICES[2] + np.eye(2)),  # two entries per row
+        (3, PAULI_MATRICES[1]),  # a flip where the letter flips nothing: the phase row reads zeros
     ],
 )
 def test_build_code_rejects_a_bad_branch_word(monkeypatch, word):
-    monkeypatch.setattr(zenosim.zeno_code, "branch_operator", lambda letter, n: word)
+    # build_code reads the one-qubit table, so a bad letter there must not reach the
+    # branch tables; three qubits, since (i X)^(x)2 = -XX is an involution again
+    letter, matrix = word
+    table = list(PAULI_MATRICES)
+    table[letter] = matrix
+    monkeypatch.setattr(zenosim.zeno_code, "PAULI_MATRICES", tuple(table))
     with pytest.raises(ContractViolation, match="branch"):
-        build_code(2)
+        build_code(3)
+
+
+def _read_back(word):
+    """(sources, phases) of a dense word with one nonzero entry per row."""
+    sources = np.argmax(np.abs(word), axis=-1)
+    return sources, np.take_along_axis(word, sources[:, None], axis=-1)[:, 0]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_branch_tables_are_bitwise_the_dense_words(n):
+    code = build_code(n)
+    for a in range(4):
+        sources, phases = _read_back(branch_operator(a, n))
+        assert np.array_equal(code.sources[a].view(np.uint64), sources.view(np.uint64))
+        assert np.array_equal(code.phases[a].view(np.uint64), phases.view(np.uint64))
+
+
+def test_build_code_past_the_cap_allocates_no_dense_word(monkeypatch):
+    # four dense 2^10 x 2^10 words would be 64 MiB; the tables are 4 x 2^10
+    monkeypatch.setattr(zenosim.zeno_code, "MAX_SYSTEM_QUBITS", 10)
+    tracemalloc.start()
+    try:
+        code = build_code(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert code.sources.shape == code.phases.shape == (4, 2**10)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

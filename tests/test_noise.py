@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -339,7 +340,7 @@ def test_derived_models_build_their_own_caches():
 
 def test_retargeted_operator_decomposes_afresh():
     h = random_model(1, seed=3).hamiltonian
-    moved = h.retargeted((0, 1))
+    moved = dataclasses.replace(h, target_qubits=(0, 1))
     assert "eigh" not in vars(moved)
     assert np.array_equal(hermitian_exp(moved, 0.2).matrix, hermitian_exp(h, 0.2).matrix)
     assert hermitian_exp(moved, 0.2).target_qubits == (0, 1)

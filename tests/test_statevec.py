@@ -18,8 +18,7 @@ from zenosim.statevec import (
     product_state,
     projection_probabilities,
     random_state,
-    sample_outcome,
-    signed_permutation,
+    sample_outcomes,
 )
 
 
@@ -97,30 +96,6 @@ def test_kron_all_matches_the_np_kron_loop_bit_for_bit(n, kind):
 def test_kron_all_rejects_blocks_of_another_rank():
     with pytest.raises(ContractViolation, match="2-d block onto a 1-d"):
         kron_all([np.eye(2)], start=(1.0 + 0j,))
-
-
-def test_signed_permutation_reads_a_pauli_word():
-    word = np.kron(PAULI_MATRICES[2], PAULI_MATRICES[1])
-    sources, phases = signed_permutation(word, "word")
-    psi = random_state(2, 8).amplitudes
-    assert np.array_equal(_bits(phases * psi[sources]), _bits(word @ psi))
-    assert sorted(sources) == [0, 1, 2, 3]
-
-
-@pytest.mark.parametrize(
-    "matrix",
-    [
-        np.eye(4) + np.roll(np.eye(4), 1, axis=1),  # two entries in each row
-        np.diag([1.0, 1.0, 0.0, 1.0]),  # an empty row
-        np.diag([1.0, 1.0, 1.0 + 1e-16j, 1.0]) * np.exp(0.1j),  # |phase| = 1 only to rounding
-        np.diag([1.0, 1.0, 2.0, 1.0]),  # phase of modulus 2
-        np.diag([1.0, np.nan, 1.0, 1.0]),
-        np.eye(4)[[0, 0, 2, 3]],  # one entry per row, but two rows read column 0
-    ],
-)
-def test_signed_permutation_rejects_what_is_not_one(matrix):
-    with pytest.raises(ContractViolation, match="gate is not a unit-phase signed permutation"):
-        signed_permutation(matrix, "gate")
 
 
 def test_statevector_rejects_bad_length():
@@ -273,7 +248,7 @@ def test_projection_probabilities_on_an_eigenstate():
     state = product_state([1, 0], [0, 1], [1, 0])  # qubits 0,1 in |0>,|1>
     probs = projection_probabilities(state, (0, 1), np.eye(4))
     assert np.allclose(probs, [0, 0, 1, 0])  # qubit 1 set -> block index 2
-    assert sample_outcome(np.random.default_rng(0), probs) == 2
+    assert sample_outcomes(np.random.default_rng(0), probs[None]).tolist() == [2]
     p, post = postselect(state, (0, 1), np.eye(4)[:, 2])
     assert p == pytest.approx(1.0)
     assert np.allclose(post.amplitudes, state.amplitudes)
@@ -291,8 +266,30 @@ def test_projection_probabilities_uniform_two_qubits():
 
 def test_sample_outcome_is_deterministic_given_seed():
     probs = projection_probabilities(random_state(4, 8), (1, 2), np.eye(4))
-    draws = [sample_outcome(np.random.default_rng(42), probs) for _ in range(2)]
+    draws = [sample_outcomes(np.random.default_rng(42), probs[None])[0] for _ in range(2)]
     assert draws[0] == draws[1]
+
+
+@pytest.mark.parametrize("size", [4, 64])
+def test_sample_outcomes_draws_what_rng_choice_draws_row_by_row(size):
+    # one rng.random double per row, in row order, as one rng.choice call per row would take
+    for seed in range(50):
+        rows = np.random.default_rng(1000 + seed).random((20, size)) ** 3
+        rows[::7, seed % size] = 0.0
+        rows[::5] *= 1e-9
+        rng = np.random.default_rng(seed)
+        expected = [rng.choice(size, p=row / row.sum()) for row in rows]
+        assert sample_outcomes(np.random.default_rng(seed), rows).tolist() == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-18, np.inf])
+def test_sample_outcomes_rejects_a_nan_negative_or_infinite_probability(bad):
+    probs = np.full((3, 4), 0.25)
+    probs[1, 2] = bad
+    with pytest.raises(ContractViolation, match="nonnegative"):
+        sample_outcomes(np.random.default_rng(0), probs)
+    with pytest.raises(ContractViolation, match="positive sum"):
+        sample_outcomes(np.random.default_rng(0), np.zeros((1, 4)))
 
 
 def test_projection_probabilities_rejects_skew_basis():
@@ -334,7 +331,7 @@ def test_overlap_probability_product_and_orthogonal():
     assert overlap_probability(state, ref) == pytest.approx(1.0)
     flipped = apply(DenseOperator(PAULI_MATRICES[1], (0,)), ref)
     orth = StateVector(flipped.amplitudes - (ref.amplitudes.conj() @ flipped.amplitudes) * ref.amplitudes)
-    orth = orth.normalized()
+    orth = StateVector(orth.amplitudes / orth.norm())
     assert overlap_probability(product_state(orth, rest), ref) < 1e-12
 
 

@@ -5,9 +5,12 @@ register; the production kernel must reproduce it to 1e-12 and keep the
 channel invariants: probabilities summing to 1, a trace-preserving Kraus
 channel, and a Hermitian positive semidefinite density matrix.  Past the
 dense reference's reach (n = 5, 6) the persist kernel is checked against the
-per-pair 7-index einsum it replaced, kept here as `einsum_persist_run`.
+per-pair 7-index einsum it replaced, kept here as `einsum_persist_run`, and
+past the cap (n = 7..10) its first cycle from |0...0> against
+`dense_reference.product_input_first_cycle`, which forms no state vector.
 """
 
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -21,7 +24,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 import zenosim.noise
 import zenosim.protocol
 import zenosim.statevec
-from dense_reference import dense_zeno_run
+import zenosim.zeno_code
+from dense_reference import dense_zeno_run, product_input_first_cycle
 from zenosim.errors import ContractViolation
 from zenosim.noise import build_hamiltonian, noise_unitary, pair_unitaries, random_model
 from zenosim.pauli import PAULI_MATRICES
@@ -215,6 +219,19 @@ def test_persist_run_holds_a_few_copies_of_the_branch_states(n):
         tracemalloc.stop()
     branch_states_bytes = 4 * 4**n * np.dtype(complex).itemsize
     assert peak <= 4 * branch_states_bytes
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+@pytest.mark.parametrize("epsilon", [0.1, 0.03])
+def test_persist_first_cycle_matches_the_product_input_reference_past_the_cap(monkeypatch, n, epsilon):
+    # only the first cycle qualifies: later cycles start from an entangled system
+    monkeypatch.setattr(zenosim.zeno_code, "MAX_SYSTEM_QUBITS", 10)
+    model = random_model(n, seed=n)
+    cycle = zeno_run(build_code(n), model, epsilon, 1, env_policy="persist").per_cycle[0]
+    probs, infidelity = product_input_first_cycle(model, epsilon)
+    np.testing.assert_allclose(cycle.syndrome_probabilities, probs, rtol=0, atol=1e-14)
+    assert cycle.failure_probability == pytest.approx(math.fsum(probs[1:]), rel=1e-12, abs=0)
+    assert 1.0 - cycle.conditional_fidelity == pytest.approx(infidelity, rel=1e-9, abs=0)
 
 
 def test_persist_run_calls_no_einsum(monkeypatch):
