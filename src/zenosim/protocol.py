@@ -16,12 +16,18 @@ sum_a |a><a| (x) sigma_a^(x)n, so the syndrome-b branch of one cycle is
 `conjugation_sign(a, b)`, twice the syndrome basis entry [a, b].
 
 Repeated-measurement runs split the total noise strength over k cycles.
-Under the default "reset" policy each cycle sees a fresh environment: the
-system's density matrix goes through the Kraus channel of that branch sum
-with the environment entering in |0...0>, built once per run.  "persist"
-keeps one environment entangled across the whole run and carries the joint
-system|environment pure state, applying the pair factors one at a time with
-each pair's two qubits next to each other (`_contract_pairs`).
+Under the default "reset" policy each cycle sees a fresh environment, so a
+cycle is a channel on the system's density matrix.  Writing each pair's
+<e|V_i|0>_env in Paulis, branch b keeps exactly the system Pauli strings
+whose letters XOR to b.  Two objects are built once per run from the pair
+deviations V_i - 1 by recursions over the pairs that group strings by that
+XOR class: the syndrome effects G_b = sum_e K_{b,e}^dagger K_{b,e}, checked to
+sum to 1, and the no-error Kraus operators K_{0,e}.  Each cycle is then
+p_b = tr(G_b rho) and rho <- sum_e K_{0,e} rho K_{0,e}^dagger / p_0; every term
+of G_{b>0} carries a small amplitude on both sides, so no O(1) part cancels.
+"persist" keeps one environment entangled across the whole run and carries
+the joint system|environment pure state, applying the pair factors one at a
+time with each pair's two qubits next to each other (`_contract_pairs`).
 """
 
 from __future__ import annotations
@@ -179,34 +185,6 @@ def _branch_factors(model: NoiseModel, epsilon: float) -> np.ndarray:
     return _PAIR_FLIPS @ pair_unitaries(model, epsilon)[None] @ _PAIR_FLIPS
 
 
-def kraus_operators(code: ZenoCode, model: NoiseModel, epsilon: float) -> np.ndarray:
-    """K[b, e] = 1/4 sum_a chi_b(a) (x)_i <e_i|W[a, i]|0>, shape (4, 2^n, 2^n, 2^n).
-
-    One cycle with a fresh environment in |0...0> takes the system's rho to
-    the syndrome-b branch sum_e K[b, e] rho K[b, e]^dagger, where e is the
-    environment's outcome; summed over b the channel preserves trace.
-    """
-    n = code.n
-    # pair factors as [a, i, env out, sys out, env in, sys in], environment entering in |0>
-    factors = _branch_factors(model, epsilon).reshape(4, n, 2, 2, 2, 2)[..., 0, :]
-    ops = np.ones((4, 1, 1, 1), dtype=complex)
-    for i in range(n):  # pair i becomes the most significant bit so far
-        d = 2 ** (i + 1)
-        ops = np.einsum("aesu,aEST->aeEsSuT", factors[:, i], ops).reshape(4, d, d, d)
-    return np.dot(_branch_signs(code).astype(complex), ops.reshape(4, -1)).reshape(ops.shape)
-
-
-def kraus_step(kraus: np.ndarray, kraus_conj: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Syndrome probabilities p_b = sum_e tr(K[b, e] rho K[b, e]^dagger) and the normalized no-error rho.
-
-    `kraus_conj` is kraus.conj(), formed once per run.
-    """
-    k_rho = (kraus.reshape(-1, rho.shape[0]) @ rho).reshape(kraus.shape)
-    probs = np.einsum("besk,besk->b", k_rho, kraus_conj).real
-    p0 = _no_error_weight(probs)
-    return probs, (k_rho[0] @ kraus_conj[0].swapaxes(-1, -2)).sum(axis=0) / p0
-
-
 def _no_error_weight(probs: np.ndarray) -> float:
     p0 = float(probs[0])
     if not p0 > 1e-300:
@@ -228,14 +206,132 @@ def _cycle_result(probs: np.ndarray, fidelity: float, sampled: int) -> CycleResu
     return CycleResult(p0, float(fidelity), float(1.0 - p0), tuple(float(p) for p in probs), int(sampled))
 
 
+#: _HALF_TRACES[2 s_out + s_in, c] = sigma_c[s_in, s_out] / 2, so a pair operator's
+#: system indices contracted with column c give 1/2 tr_sys(sigma_c X); read-only.
+_HALF_TRACES = np.stack([p.T.reshape(4) for p in PAULI_MATRICES], axis=1) / 2
+_HALF_TRACES.flags.writeable = False
+
+
+def _letter_amplitudes(model: NoiseModel, epsilon: float) -> np.ndarray:
+    """letters[i, e, c] = 1/2 tr_sys(sigma_c <e|V_i|0>_env), so <e|V_i|0> = sum_c letters[i, e, c] sigma_c.
+
+    Shape (n, 2, 4).  Only the columns with the environment entering in |0> are
+    read, from the deviation V_i - 1: its identity part adds 1 to letters[i, 0, 0]
+    alone, since tr sigma_c = 0 for every other letter, so the small amplitudes
+    never pass through 1.
+    """
+    n = model.n
+    deviation = pair_deviations(model, epsilon).reshape(n, 2, 2, 2, 2)[..., 0, :]  # [i, env out, sys out, sys in]
+    letters = deviation.reshape(n, 2, 4) @ _HALF_TRACES
+    letters[:, 0, 0] += 1.0
+    return letters
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+# Transfer tables of the reset-policy recursions.  A letter part takes class j
+# to class k when its letter is k ^ j; a pair's transfer matrix gathers the
+# pair's amplitudes through the index table and multiplies by the Pauli table.
+def _effect_transfer() -> tuple[np.ndarray, np.ndarray]:
+    """[(k', k), s, t, (j', j)] -> flat [c', c] of the letter Gram, and (sigma_c'^dagger sigma_c)[s, t]."""
+    bra, ket, s, t, bra_from, ket_from = np.indices((4, 4, 2, 2, 4, 4))
+    bra_letter, ket_letter = bra ^ bra_from, ket ^ ket_from
+    paulis = np.stack(PAULI_MATRICES)
+    products = (paulis.conj().swapaxes(-1, -2)[:, None] @ paulis)[bra_letter, ket_letter, s, t]
+    return (4 * bra_letter + ket_letter).reshape(16, 2, 2, 16), products.reshape(16, 2, 2, 16)
+
+
+def _kraus_transfer() -> tuple[np.ndarray, np.ndarray]:
+    """[k, s, e, t, j] -> flat [e, c] of the letter amplitudes, and sigma_c[s, t]."""
+    ket, s, env, t, ket_from = np.indices((4, 2, 2, 2, 4))
+    return 4 * env + (ket ^ ket_from), np.stack(PAULI_MATRICES)[ket ^ ket_from, s, t]
+
+
+_EFFECT_TRANSFER = _read_only(*_effect_transfer())
+_KRAUS_TRANSFER = _read_only(*_kraus_transfer())
+
+
+def _class_sums(transfer: np.ndarray, keep: slice) -> np.ndarray:
+    """Sum over letter strings of the pairs' tensor products, grouped by the XOR of the letters.
+
+    transfer[i, k, *legs, j] is pair i's part for the letter that takes class j
+    to class k, with two-valued legs; the result is [k, *legs] over all pairs,
+    pair i on bit i of each leg, with only the classes `keep` formed at the last
+    pair.  Each pair is one (classes * 2^legs, classes) by (classes, 2^(i legs))
+    product.
+    """
+    n, classes, legs = transfer.shape[0], transfer.shape[-1], transfer.ndim - 3
+    order = (0, *(axis for leg in range(1, legs + 1) for axis in (leg, leg + legs)))
+    first = transfer[0] if n > 1 else transfer[0, keep]
+    acc = first[..., 0].reshape(len(first), -1)  # pair 0 alone: its letter k takes class 0 to k
+    for i in range(1, n):
+        step = transfer[i] if i < n - 1 else transfer[i, keep]
+        acc = (step.reshape(-1, classes) @ acc).reshape(-1, *[2] * legs, *[2**i] * legs)
+        acc = acc.transpose(order).reshape(len(acc), -1)
+    return acc.reshape(-1, *[2**n] * legs)
+
+
+def _syndrome_effects(letters: np.ndarray) -> np.ndarray:
+    """G[b] = sum_e K[b, e]^dagger K[b, e], shape (4, 2^n, 2^n), checked to sum to 1 within NORM_TOL.
+
+    With <e_i|V_i|0> = sum_c letters[i, e_i, c] sigma_c, the encoder's signs
+    keep in branch b exactly the system Pauli strings whose letters XOR to b,
+    so K[b, e] = sum over those strings of (x)_i letters[i, e_i, c_i] sigma_c_i.
+    The recursion carries 16 (bra class, ket class) parts: per pair the letter
+    Gram sum_e conj(letters[i, e, c']) letters[i, e, c] times sigma_c'^dagger sigma_c.
+    Every string of a branch b > 0 has a letter other than the identity on each
+    side, so each term of G[b > 0] carries a small amplitude twice and no O(1)
+    part cancels.
+    """
+    gram = letters.conj().swapaxes(-1, -2) @ letters  # [i, c', c]
+    index, paulis = _EFFECT_TRANSFER
+    effects = _class_sums(np.take(gram.reshape(-1, 16), index, axis=1) * paulis, slice(None, None, 5))
+    defect = np.abs(effects.sum(axis=0) - np.eye(effects.shape[-1])).max()
+    if not defect <= NORM_TOL:
+        raise ContractViolation(f"reset-policy syndrome effects miss the identity by {defect:.3e}")
+    return effects
+
+
+def _no_error_kraus(letters: np.ndarray) -> np.ndarray:
+    """K[s, e, t] = <s|K[0, e]|t>, the no-error Kraus operators, shape (2^n, 2^n, 2^n).
+
+    The ket-only recursion of `_syndrome_effects`: four classes, the letter-c
+    part of pair i is letters[i, e_i, c] sigma_c, and the last pair forms class 0 only.
+    """
+    index, paulis = _KRAUS_TRANSFER
+    return _class_sums(np.take(letters.reshape(-1, 8), index, axis=1) * paulis, slice(0, 1))[0]
+
+
+def _reset_channel(model: NoiseModel, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a reset-policy cycle reads, built once per run: G^T flattened, K[0] as rows and its conjugate.
+
+    Shapes (4, 4^n), (4^n, 2^n) and (2^n, 4^n); see `_reset_step`.
+    """
+    letters = _letter_amplitudes(model, epsilon)
+    effects = _syndrome_effects(letters)
+    kraus = _no_error_kraus(letters)
+    dim = kraus.shape[0]
+    return effects.swapaxes(-1, -2).reshape(4, -1), kraus.reshape(dim * dim, dim), kraus.conj().reshape(dim, -1)
+
+
+def _reset_step(channel: tuple, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p_b = tr(G_b rho) and the normalized no-error rho, sum_e K[0, e] rho K[0, e]^dagger / p_0."""
+    transposed_effects, kraus_rows, kraus_conj = channel
+    probs = (transposed_effects @ rho.ravel()).real
+    return probs, (kraus_rows @ rho).reshape(len(rho), -1) @ kraus_conj.T / _no_error_weight(probs)
+
+
 def _reset_policy_run(code, model, eps_c, cycles, psi) -> tuple[list, list]:
     """Each cycle's syndrome probabilities and conditional fidelity."""
-    kraus = kraus_operators(code, model, eps_c)
-    kraus_conj = kraus.conj()
+    channel = _reset_channel(model, eps_c)
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
     probs, fidelities = [], []
     for _ in range(cycles):
-        p, rho = kraus_step(kraus, kraus_conj, rho)
+        p, rho = _reset_step(channel, rho)
         probs.append(p)
         fidelities.append((psi.amplitudes.conj() @ rho @ psi.amplitudes).real)
     return probs, fidelities
@@ -273,18 +369,26 @@ def _contract_pairs(states: np.ndarray, factors: np.ndarray) -> np.ndarray:
 
 
 def _persist_policy_run(code, model, eps_c, cycles, psi) -> tuple[list, list]:
-    """Each cycle's syndrome probabilities and conditional fidelity."""
+    """Each cycle's syndrome probabilities and conditional fidelity.
+
+    The fidelity is 1 - ||Q B_0||^2 / p_0, with Q = 1 - |psi><psi| / ||psi||^2 on
+    the system and B_0 the no-error branch: a sum of squares, so it cannot exceed 1.
+    """
     factors = _branch_factors(model, eps_c)
     signs = _branch_signs(code)
     index = _joint_index(code.n)
     joint = np.zeros(4**code.n, dtype=complex)  # pair-interleaved, environment in |0...0>
     joint[index[0]] = psi.amplitudes
+    psi_scaled = psi.amplitudes / np.vdot(psi.amplitudes, psi.amplitudes).real  # Q = 1 - |psi_scaled><psi|
     probs, fidelities = [], []
     for _ in range(cycles):
         branches = signs @ _contract_pairs(np.broadcast_to(joint, (4, joint.size)), factors)
         probs.append((np.abs(branches) ** 2).sum(axis=1))
-        joint = branches[0] / np.sqrt(_no_error_weight(probs[-1]))
-        fidelities.append(np.sum(np.abs(joint[index] @ psi.amplitudes.conj()) ** 2))
+        p0 = _no_error_weight(probs[-1])
+        kept = branches[0][index]  # [environment, system]
+        off_psi = kept - np.outer(kept @ psi.amplitudes.conj(), psi_scaled)
+        fidelities.append(1.0 - (np.abs(off_psi) ** 2).sum() / p0)
+        joint = branches[0] / np.sqrt(p0)
     return probs, fidelities
 
 
@@ -370,29 +474,17 @@ SYNDROME_TO_TWO_TIME = {0: 0, 1: 2, 2: 1, 3: 3}
 #: One system's (x, y) comparison readings for its local outcome o = x + 2y.
 _PAIR_READINGS = ((0, 0), (2, 0), (0, 2), (2, 2))
 
-#: _HALF_TRACES[2 s_out + s_in, o] = sigma_c[s_in, s_out] / 2 for the letter c that
-#: outcome o reads, so a pair operator's system indices contracted with column o
-#: give 1/2 tr_sys(sigma_c X); read-only.
-_HALF_TRACES = np.stack(
-    [PAULI_MATRICES[c].T.reshape(4) for c in sorted(SYNDROME_TO_TWO_TIME, key=SYNDROME_TO_TWO_TIME.get)],
-    axis=1,
-) / 2
-_HALF_TRACES.flags.writeable = False
+#: The letter that each local outcome o reads: the inverse of SYNDROME_TO_TWO_TIME.
+_OUTCOME_LETTERS = sorted(SYNDROME_TO_TWO_TIME, key=SYNDROME_TO_TWO_TIME.get)
 
 
 def _outcome_weights(model: NoiseModel, epsilon: float) -> np.ndarray:
     """g[p, o] = ||E_c |0>_env||^2 for the letter c that system p's local outcome o reads; shape (n, 4).
 
-    With V_p = sum_c E_c (x) sigma_c, E_c = 1/2 tr_sys(sigma_c V_p).  Only the
-    columns with the environment entering in |0> are read, from the deviation
-    V_p - 1: its identity part adds |0>_env to E_0 alone, since tr sigma_c = 0
-    for every other letter, so the small weights never pass through 1.
+    With V_p = sum_c E_c (x) sigma_c, E_c |0>_env is the column
+    `_letter_amplitudes(...)[p, :, c]`, so the small weights never pass through 1.
     """
-    n = model.n
-    deviation = pair_deviations(model, epsilon).reshape(n, 2, 2, 2, 2)[..., 0, :]  # [p, env out, sys out, sys in]
-    letters = deviation.reshape(n, 2, 4) @ _HALF_TRACES  # [p, env out, o]: E_c |0>_env
-    letters[:, 0, SYNDROME_TO_TWO_TIME[0]] += 1.0
-    return (np.abs(letters) ** 2).sum(axis=1)
+    return (np.abs(_letter_amplitudes(model, epsilon)) ** 2).sum(axis=1)[:, _OUTCOME_LETTERS]
 
 
 @cache

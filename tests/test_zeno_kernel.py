@@ -2,14 +2,16 @@
 
 `dense_reference.dense_zeno_run` simulates the full ancilla|system|environment
 register; the production kernel must reproduce it to 1e-12 and keep the
-channel invariants: probabilities summing to 1, a trace-preserving Kraus
-channel, and a Hermitian positive semidefinite density matrix.  Past the
+channel invariants: probabilities summing to 1, syndrome effects summing to
+the identity, and a Hermitian positive semidefinite density matrix.  Past the
 dense reference's reach (n = 5, 6) the persist kernel is checked against the
 per-pair 7-index einsum it replaced, kept here as `einsum_persist_run`, and
-past the cap (n = 7..10) its first cycle from |0...0> against
+past the cap (n = 7..10) both policies' first cycle from |0...0> against
 `dense_reference.product_input_first_cycle`, which forms no state vector.
 """
 
+import itertools
+import json
 import math
 import tempfile
 import tracemalloc
@@ -26,11 +28,29 @@ import zenosim.protocol
 import zenosim.statevec
 import zenosim.zeno_code
 from dense_reference import dense_zeno_run, product_input_first_cycle
+from zenosim.cli import main
 from zenosim.errors import ContractViolation
-from zenosim.noise import build_hamiltonian, noise_unitary, pair_unitaries, random_model
-from zenosim.pauli import PAULI_MATRICES
-from zenosim.protocol import _branch_factors, _branch_signs, epsilon_sweep, kraus_operators, kraus_step, zeno_run
-from zenosim.statevec import hermitian_exp, operator_on_register, random_state
+from zenosim.noise import (
+    NoiseModel,
+    build_hamiltonian,
+    noise_unitary,
+    pair_deviations,
+    pair_unitaries,
+    random_model,
+    zero_model,
+)
+from zenosim.pauli import PAULI_MATRICES, conjugation_sign
+from zenosim.protocol import (
+    _branch_factors,
+    _branch_signs,
+    _letter_amplitudes,
+    _reset_channel,
+    _reset_step,
+    _syndrome_effects,
+    epsilon_sweep,
+    zeno_run,
+)
+from zenosim.statevec import basis_state, hermitian_exp, operator_on_register, random_state
 from zenosim.zeno_code import build_code
 
 TOL = 1e-12
@@ -116,18 +136,86 @@ def test_zeno_run_matches_dense_reference(n, policy, model_seed, psi_seed, cycle
     epsilon=st.floats(0.0, 0.6),
 )
 def test_kraus_channel_preserves_trace_and_positivity(n, model_seed, psi_seed, cycles, epsilon):
-    kraus = kraus_operators(CODES[n], random_model(n, model_seed), epsilon)
-    dim = 2**n
-    completeness = np.einsum("besk,besl->kl", kraus.conj(), kraus)
-    assert np.abs(completeness - np.eye(dim)).max() <= TOL
+    model = random_model(n, model_seed)
+    completeness = _syndrome_effects(_letter_amplitudes(model, epsilon)).sum(axis=0)
+    assert np.abs(completeness - np.eye(2**n)).max() <= TOL
+    channel = _reset_channel(model, epsilon)
     psi = random_state(n, psi_seed).amplitudes
     rho = np.outer(psi, psi.conj())
     for _ in range(cycles):
-        probs, rho = kraus_step(kraus, kraus.conj(), rho)
+        probs, rho = _reset_step(channel, rho)
         assert abs(probs.sum() - 1.0) <= TOL
         assert np.abs(rho - rho.conj().T).max() <= TOL
         assert abs(np.trace(rho) - 1.0) <= TOL
         assert np.linalg.eigvalsh(rho).min() >= -TOL
+
+
+def test_branch_b_keeps_the_pauli_strings_whose_letters_xor_to_b():
+    # the reset recursions group strings by the XOR of their letters; the encoder's signs pick the class
+    signs = np.array([[conjugation_sign(a, c) for c in range(4)] for a in range(4)])
+    for c, d in np.ndindex(4, 4):
+        assert (signs[:, c] * signs[:, d] == signs[:, c ^ d]).all()
+    for n in CODES:
+        assert np.array_equal(_branch_signs(CODES[n]) @ signs, np.eye(4))
+
+
+@pytest.mark.parametrize("defect", ["a phase of modulus 1/2", "two entries in a row"])
+def test_a_pair_that_is_not_unitary_fails_the_reset_effects_check(monkeypatch, defect):
+    def bad_deviations(model, epsilon):
+        if defect == "two entries in a row":
+            deviation = pair_deviations(model, epsilon)
+            deviation[:, 1, 0] += 1.0
+            return deviation
+        w, v = model.pair_eigh
+        phases = np.exp(1j * epsilon * w)
+        phases[:, 0] *= 0.5
+        return (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2) - np.eye(4)
+
+    monkeypatch.setattr(zenosim.protocol, "pair_deviations", bad_deviations)
+    with pytest.raises(ContractViolation, match="syndrome effects miss the identity"):
+        zeno_run(CODES[2], random_model(2, seed=1), 1e-2, 2, "reset")
+
+
+def _single_letter_model(n: int, letter: int) -> NoiseModel:
+    couplings = np.zeros((n, 4, 2, 2), dtype=complex)
+    couplings[:, letter] = random_model(n, seed=5).couplings[:, letter]
+    return NoiseModel(n, couplings)
+
+
+@pytest.mark.parametrize("policy", ["reset", "persist"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_error_probabilities_are_not_negative_near_zero_strength(n, policy):
+    models = [zero_model(n), *(_single_letter_model(n, letter) for letter in range(4))]
+    epsilons, states = (5e-324, 1e-300, 1e-160, 1e-8), (basis_state(n), random_state(n, 3))
+    for model, epsilon, psi in itertools.product(models, epsilons, states):
+        for cycles in (1, 4):
+            for cycle in zeno_run(build_code(n), model, epsilon, cycles, policy, 0, psi).per_cycle:
+                assert min(cycle.syndrome_probabilities[1:]) >= 0.0, (model.couplings, epsilon)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_reset_run_holds_no_array_of_four_kraus_tensors(n):
+    code, model, psi = build_code(n), random_model(n, 1), random_state(n, 2)
+    zeno_run(code, model, 0.2, 1, "reset", 0, psi)  # the model's pair eigenbases
+    tracemalloc.start()
+    try:
+        zeno_run(code, model, 0.2, 4, "reset", 0, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8**n * np.dtype(complex).itemsize
+
+
+@pytest.mark.parametrize("n", range(7, 10))
+@pytest.mark.parametrize("epsilon", [0.1, 0.03])
+def test_reset_first_cycle_matches_the_product_input_reference_past_the_cap(monkeypatch, n, epsilon):
+    monkeypatch.setattr(zenosim.zeno_code, "MAX_SYSTEM_QUBITS", 10)
+    model = random_model(n, seed=n)
+    if n == 7:
+        probs = zeno_run(build_code(n), model, epsilon, 1).per_cycle[0].syndrome_probabilities
+    else:  # the effects alone: p_b = <0...0|G_b|0...0>
+        probs = _syndrome_effects(_letter_amplitudes(model, epsilon))[:, 0, 0].real
+    np.testing.assert_allclose(probs, product_input_first_cycle(model, epsilon)[0], rtol=0, atol=1e-14)
 
 
 def _counting(monkeypatch, module, name, calls):
@@ -168,9 +256,31 @@ def test_sweep_forms_only_the_fresh_environment_columns(monkeypatch):
 def test_vanishing_no_error_branch_is_a_contract_violation(monkeypatch, policy):
     # V = i X on the system: every encoder branch is +-iX and the no-error sum cancels exactly
     flip = 1j * np.kron(np.eye(2), PAULI_MATRICES[1])
-    monkeypatch.setattr(zenosim.protocol, "pair_unitaries", lambda model, epsilon: flip[None])
+    if policy == "reset":  # the reset policy reads V - 1
+        monkeypatch.setattr(zenosim.protocol, "pair_deviations", lambda model, epsilon: flip[None] - np.eye(4))
+    else:
+        monkeypatch.setattr(zenosim.protocol, "pair_unitaries", lambda model, epsilon: flip[None])
     with pytest.raises(ContractViolation, match="zero weight"):
         zeno_run(CODES[1], random_model(1, 0), 0.1, 1, policy)
+
+
+def test_persist_fidelity_does_not_exceed_one(tmp_path):
+    # n = 1 keeps the exact fidelity at 1, where <psi|rho|psi> read one ulp above it
+    out = tmp_path / "run.json"
+    argv = ["zeno", "--n", "1", "--seed", "7", "--psi", "random-seeded", "--psi-seed", "7", "--total-eps", "0.2",
+            "--k", "1,2,4", "--env-policy", "persist", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    rows = json.loads(out.read_text())["rows"]
+    fidelities = [cycle["conditional_fidelity"] for row in rows for cycle in row["per_cycle"]]
+    fidelities += [row["final_conditional_fidelity"] for row in rows]
+    assert len(fidelities) == 10 and max(fidelities) <= 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_persist_fidelity_without_noise_is_one(n):
+    for psi in (basis_state(n), random_state(n, 8)):
+        run = zeno_run(CODES[n], zero_model(n), 0.3, 4, "persist", 0, psi)
+        assert [cycle.conditional_fidelity for cycle in run.per_cycle] == [1.0] * 4
 
 
 def einsum_persist_run(code, model, total_epsilon, cycles, psi):
