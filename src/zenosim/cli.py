@@ -29,6 +29,14 @@ from .statevec import basis_state, random_state
 from .zeno_code import build_code, check_system_count
 
 OUTDIR_ENV_VAR = "ZENOSIM_OUTDIR"
+RANGE_POINTS = 8  # strengths in a lo..hi range unless --points says otherwise
+# the values a field may take, for validation and the parser's choices alike
+CHOICES = {
+    "env_policy": ("reset", "persist"),
+    "psi_kind": ("basis", "random-seeded"),
+    "observable": ("failure", "infidelity"),
+    "output_format": ("csv", "json"),
+}
 
 
 @dataclass
@@ -39,7 +47,6 @@ class ExperimentConfig:
     total_epsilon: float | None = None
     k_values: list | None = None
     seed: int = 0
-    noise_kind: str = "random"
     model_file: str | None = None
     env_policy: str = "reset"
     psi_kind: str = "basis"
@@ -49,30 +56,23 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def validate(self) -> None:
-        if self.subcommand not in ("verify", "sweep", "zeno", "twotime"):
+        if self.subcommand not in _HANDLERS:
             raise ConfigError(f"unknown subcommand {self.subcommand!r}")
         try:
             check_system_count(self.n)
         except ContractViolation as exc:
             raise ConfigError(str(exc)) from None
-        if self.noise_kind not in ("random", "fixed-from-file"):
-            raise ConfigError(f"noise_kind: must be 'random' or 'fixed-from-file', got {self.noise_kind!r}")
-        if self.noise_kind == "fixed-from-file" and not self.model_file:
-            raise ConfigError("model_file: required when noise_kind is 'fixed-from-file'")
-        if self.env_policy not in ("reset", "persist"):
-            raise ConfigError(f"env_policy: must be 'reset' or 'persist', got {self.env_policy!r}")
-        if self.psi_kind not in ("basis", "random-seeded"):
-            raise ConfigError(f"psi_kind: must be 'basis' or 'random-seeded', got {self.psi_kind!r}")
-        if self.subcommand == "twotime" and (self.psi_kind, self.psi_seed) != ("basis", 0):
+        for field, (first, second) in CHOICES.items():
+            value = getattr(self, field)
+            if value not in (first, second):
+                raise ConfigError(f"{field}: must be {first!r} or {second!r}, got {value!r}")
+        defaults = ExperimentConfig(self.subcommand)
+        if self.subcommand == "twotime" and (self.psi_kind, self.psi_seed) != (defaults.psi_kind, defaults.psi_seed):
             raise ConfigError("psi: twotime takes no state, so psi_kind and psi_seed keep their defaults")
-        if self.observable not in ("failure", "infidelity"):
-            raise ConfigError(f"observable: must be 'failure' or 'infidelity', got {self.observable!r}")
-        if self.subcommand in ("sweep", "twotime") and self.env_policy != "reset":
-            raise ConfigError(f"env_policy: only zeno reads it, so {self.subcommand} keeps the default 'reset'")
-        if self.subcommand in ("zeno", "twotime") and self.observable != "failure":
-            raise ConfigError(f"observable: only sweep reads it, so {self.subcommand} keeps the default 'failure'")
-        if self.output_format not in ("csv", "json"):
-            raise ConfigError(f"output_format: must be 'csv' or 'json', got {self.output_format!r}")
+        for field, reader in (("env_policy", "zeno"), ("observable", "sweep")):
+            default = getattr(defaults, field)
+            if self.subcommand not in (reader, "verify") and getattr(self, field) != default:
+                raise ConfigError(f"{field}: only {reader} reads it, so {self.subcommand} keeps the default {default!r}")
         if self.subcommand in ("sweep", "twotime"):
             if not self.epsilons:
                 raise ConfigError("epsilons: at least one noise strength is required")
@@ -94,8 +94,16 @@ class ExperimentConfig:
             if not self.k_values or any((not isinstance(k, int)) or k < 1 for k in self.k_values):
                 raise ConfigError("k_values: need positive integer cycle counts")
 
+    @property
+    def noise_kind(self) -> str:
+        return "fixed-from-file" if self.model_file else "random"
+
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields and the derived `noise_kind`: what every output records."""
+        return {**dataclasses.asdict(self), "noise_kind": self.noise_kind}
+
+
+FIELDS = frozenset(field.name for field in dataclasses.fields(ExperimentConfig))
 
 
 def parse_epsilons(text: str, points: int) -> list:
@@ -135,17 +143,26 @@ def _as_int(value, field: str) -> int:
 
 
 def _as_list(raw, convert, field: str) -> list:
+    """A JSON list, or a flag's comma list, with every item read by `convert`."""
+    if isinstance(raw, str):
+        raw = [tok for tok in raw.split(",") if tok]
     if not isinstance(raw, list):
         raise ConfigError(f"{field}: expected a list, got {raw!r}")
     return [convert(v, field) for v in raw]
 
 
-def _parse_int_list(text: str, field: str) -> list:
-    return [_as_int(tok, field) for tok in text.split(",") if tok]
+def _coercions(points: int) -> dict:
+    """Each typed field's one reader, for a flag's text and a config file's JSON value alike."""
+    def epsilons(raw, field):
+        return parse_epsilons(raw, points) if isinstance(raw, str) else _as_list(raw, _as_float, field)
+
+    return {"n": _as_int, "seed": _as_int, "psi_seed": _as_int, "total_epsilon": _as_float,
+            "k_values": lambda raw, field: _as_list(raw, _as_int, field), "epsilons": epsilons}
 
 
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
+    """Every flag but --config and --points sets the field its dest names, and has no default."""
     parser = argparse.ArgumentParser(
         prog="zenosim",
         description="Exact simulator for a two-ancilla measurement-based error-prevention code.",
@@ -154,9 +171,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON file with configuration defaults")
-        p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
+        p.add_argument("--seed", help="master seed")
+        p.add_argument("--out", dest="output_path", help="output file path")
+        p.add_argument("--format", dest="output_format", choices=CHOICES["output_format"], help="output format")
+
+    def state(p):
+        p.add_argument("--psi", dest="psi_kind", choices=CHOICES["psi_kind"])
+        p.add_argument("--psi-seed")
 
     p_verify = sub.add_parser("verify", help="run every algebraic identity check")
     common(p_verify)
@@ -167,30 +188,33 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         common(p)
-        p.add_argument("--n", type=int, default=None, help="number of protected qubits")
-        p.add_argument("--eps", default=None, help="comma list or lo..hi geometric range")
-        p.add_argument("--points", type=int, default=8, help="points for a lo..hi range")
-        p.add_argument("--model-file", default=None, help="JSON noise model (sets noise kind)")
+        p.add_argument("--n", help="number of protected qubits")
+        p.add_argument("--eps", dest="epsilons", help="comma list or lo..hi geometric range")
+        p.add_argument("--points", type=int, default=RANGE_POINTS, help="points for a lo..hi range")
+        p.add_argument("--model-file", help="JSON noise model (sets noise kind)")
         if name == "sweep":  # the two-time readout does not depend on the state
-            p.add_argument("--psi", choices=("basis", "random-seeded"), default=None)
-            p.add_argument("--psi-seed", type=int, default=None)
-            p.add_argument("--observable", choices=("failure", "infidelity"), default=None)
+            state(p)
+            p.add_argument("--observable", choices=CHOICES["observable"])
 
     p_zeno = sub.add_parser("zeno", help="repeated-measurement suppression runs")
     common(p_zeno)
-    p_zeno.add_argument("--n", type=int, default=None)
-    p_zeno.add_argument("--total-eps", type=float, default=None, help="total strength split across cycles")
-    p_zeno.add_argument("--k", default=None, help="comma list of cycle counts")
-    p_zeno.add_argument("--env-policy", choices=("reset", "persist"), default=None)
-    p_zeno.add_argument("--model-file", default=None)
-    p_zeno.add_argument("--psi", choices=("basis", "random-seeded"), default=None)
-    p_zeno.add_argument("--psi-seed", type=int, default=None)
+    p_zeno.add_argument("--n")
+    p_zeno.add_argument("--total-eps", dest="total_epsilon", help="total strength split across cycles")
+    p_zeno.add_argument("--k", dest="k_values", help="comma list of cycle counts")
+    p_zeno.add_argument("--env-policy", choices=CHOICES["env_policy"])
+    p_zeno.add_argument("--model-file")
+    state(p_zeno)
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The ExperimentConfig defaults, under the --config file's values, under every flag given.
+
+    A config file holds keys an output records, so a recorded config replays;
+    a recorded `noise_kind` must agree with the one `model_file` gives.
+    """
     file_values: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_values = json.load(fh)
@@ -198,86 +222,56 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config: cannot read {args.config!r}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError(f"config: {args.config!r} must hold a JSON object")
-
-    def pick(cli_value, key, default):
-        if cli_value is not None:
-            return cli_value
-        return file_values.get(key, default)
-
-    epsilons = None
-    eps_raw = pick(getattr(args, "eps", None), "epsilons", None)
-    if eps_raw is not None:
-        if isinstance(eps_raw, str):
-            epsilons = parse_epsilons(eps_raw, getattr(args, "points", 8))
-        else:
-            epsilons = _as_list(eps_raw, _as_float, "epsilons")
-
-    k_values = None
-    k_raw = pick(getattr(args, "k", None), "k_values", None)
-    if k_raw is not None:
-        k_values = _parse_int_list(k_raw, "k_values") if isinstance(k_raw, str) else _as_list(k_raw, _as_int, "k_values")
-
-    total_raw = pick(getattr(args, "total_eps", None), "total_epsilon", None)
-    model_file = pick(getattr(args, "model_file", None), "model_file", None)
-    config = ExperimentConfig(
-        subcommand=args.subcommand,
-        n=_as_int(pick(getattr(args, "n", None), "n", 1), "n"),
-        epsilons=epsilons,
-        total_epsilon=None if total_raw is None else _as_float(total_raw, "total_epsilon"),
-        k_values=k_values,
-        seed=_as_int(pick(args.seed, "seed", 0), "seed"),
-        noise_kind="fixed-from-file" if model_file else pick(None, "noise_kind", "random"),
-        model_file=model_file,
-        env_policy=pick(getattr(args, "env_policy", None), "env_policy", "reset"),
-        psi_kind=pick(getattr(args, "psi", None), "psi_kind", "basis"),
-        psi_seed=_as_int(pick(getattr(args, "psi_seed", None), "psi_seed", 0), "psi_seed"),
-        observable=pick(getattr(args, "observable", None), "observable", "failure"),
-        output_format=pick(getattr(args, "format", None), "output_format", "csv"),
-        output_path=pick(getattr(args, "out", None), "output_path", None),
-    )
-    config.validate()
+        unknown = sorted(file_values.keys() - FIELDS - {"noise_kind"})
+        if unknown:
+            raise ConfigError(f"config: unknown field {unknown[0]!r}")
+    flags = {key: value for key, value in vars(args).items() if key in FIELDS and value is not None}
+    values = {key: value for key, value in file_values.items() if key in FIELDS} | flags
+    for field, convert in _coercions(getattr(args, "points", RANGE_POINTS)).items():
+        if values.get(field) is not None:
+            values[field] = convert(values[field], field)
+    config = ExperimentConfig(**values)
+    recorded = file_values.get("noise_kind", config.noise_kind)
+    if recorded != config.noise_kind:
+        raise ConfigError(f"noise_kind: model_file {config.model_file!r} makes it {config.noise_kind!r}, got {recorded!r}")
     return config
 
 
-def _resolve_output_path(config: ExperimentConfig) -> str:
-    if config.output_path:
-        return config.output_path
-    outdir = os.environ.get(OUTDIR_ENV_VAR, ".")
-    return os.path.join(outdir, f"{config.subcommand}.{config.output_format}")
-
-
-def _system_state(config: ExperimentConfig, n: int):
+def _system_state(config: ExperimentConfig):
     if config.psi_kind == "random-seeded":
-        return random_state(n, config.psi_seed)
-    return basis_state(n)
+        return random_state(config.n, config.psi_seed)
+    return basis_state(config.n)
 
 
-def _noise_model(config: ExperimentConfig, n: int):
-    if config.noise_kind == "fixed-from-file":
-        try:
-            model = load_model(config.model_file)
-        except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
-            raise ConfigError(f"model_file: cannot load {config.model_file!r}: {exc}") from exc
-        if model.n != n:
-            raise ConfigError(f"model_file: model has n={model.n}, expected {n}")
-        return model
-    return random_model(n, config.seed)
+def _noise_model(config: ExperimentConfig):
+    if not config.model_file:
+        return random_model(config.n, config.seed)
+    try:
+        model = load_model(config.model_file)
+    except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+        raise ConfigError(f"model_file: cannot load {config.model_file!r}: {exc}") from exc
+    if model.n != config.n:
+        raise ConfigError(f"model_file: model has n={model.n}, expected {config.n}")
+    return model
 
 
-def _write_output(config: ExperimentConfig, columns, rows, fit=None, body=None) -> str:
-    """Write a result table in the configured format; returns the path written.
+def _write_output(config: ExperimentConfig, columns, body: dict, records: str = "rows") -> str:
+    """Write a result in the configured format; returns the path written.
 
-    CSV holds the config comment, the header and rows, and the fit comment.
-    JSON holds {"config": ..., **body}, with `body` by default the rows as
-    objects keyed by column and the fit.
+    JSON holds {"config": ..., **body}.  CSV holds the config comment, the
+    header `columns`, one row per record of body[records] read column by
+    column, and the body's fit, if any, as a comment.
     """
-    path = _resolve_output_path(config)
-    if config.output_format == "csv":
-        write_csv(path, config.as_dict(), columns, rows, fit)
-    else:
-        if body is None:
-            body = {"rows": [dict(zip(columns, row)) for row in rows], "fit": fit}
-        write_json(path, {"config": config.as_dict(), **body})
+    default_name = f"{config.subcommand}.{config.output_format}"
+    path = config.output_path or os.path.join(os.environ.get(OUTDIR_ENV_VAR, "."), default_name)
+    try:
+        if config.output_format == "csv":
+            rows = [[record[column] for column in columns] for record in body[records]]
+            write_csv(path, config.as_dict(), columns, rows, body.get("fit"))
+        else:
+            write_json(path, {"config": config.as_dict(), **body})
+    except OSError as exc:
+        raise ConfigError(f"output_path: cannot write {path!r}: {exc.strerror or exc}") from exc
     return path
 
 
@@ -293,8 +287,8 @@ def _run_verify(config: ExperimentConfig) -> int:
         _write_output(
             config,
             ["identity", "status", "max_defect", "note"],
-            [(r.identity, r.status, r.max_defect, r.note) for r in reports],
-            body={"reports": [r.as_dict() for r in reports], "all_pass": all_pass},
+            {"reports": [dataclasses.asdict(r) for r in reports], "all_pass": all_pass},
+            records="reports",
         )
     print(f"{sum(r.status == 'pass' for r in reports)}/{len(reports)} identities hold")
     return 0 if all_pass else 1
@@ -302,11 +296,13 @@ def _run_verify(config: ExperimentConfig) -> int:
 
 def _run_sweep(config: ExperimentConfig) -> int:
     code = build_code(config.n)
-    model = _noise_model(config, config.n)
-    psi = _system_state(config, config.n)
+    model = _noise_model(config)
+    psi = _system_state(config)
     table = epsilon_sweep(code, model, config.epsilons, psi, config.observable, config.seed)
-    columns = ["epsilon", "failure_probability", "infidelity"]
-    rows = [(r.x, r.failure_probability, r.infidelity) for r in table.rows]
+    records = [
+        {"epsilon": r.x, "failure_probability": r.failure_probability, "infidelity": r.infidelity}
+        for r in table.rows
+    ]
     fit = None
     if table.fit is not None:
         fit = {
@@ -315,8 +311,10 @@ def _run_sweep(config: ExperimentConfig) -> int:
             "intercept": table.fit.intercept,
             "max_residual": table.fit.max_residual,
         }
-    body = {"rows": [dict(zip(columns, row)) for row in rows], "fit": fit, "status": table.status}
-    path = _write_output(config, columns, rows, fit, body)
+    path = _write_output(
+        config, ["epsilon", "failure_probability", "infidelity"],
+        {"rows": records, "fit": fit, "status": table.status},
+    )
     print(f"wrote {path} ({table.status})")
     if table.status == "floor":
         print("observable sits at the numerical floor; no fit", file=sys.stderr)
@@ -327,21 +325,12 @@ def _run_sweep(config: ExperimentConfig) -> int:
 
 def _run_zeno(config: ExperimentConfig) -> int:
     code = build_code(config.n)
-    model = _noise_model(config, config.n)
-    psi = _system_state(config, config.n)
-    columns = [
-        "k", "epsilon_per_cycle", "cumulative_success", "cumulative_failure",
-        "final_conditional_fidelity",
-    ]
-    rows = []
-    detailed = []
+    model = _noise_model(config)
+    psi = _system_state(config)
+    records = []
     for k in config.k_values:
         result = zeno_run(code, model, config.total_epsilon, k, config.env_policy, config.seed, psi)
-        rows.append((
-            k, result.epsilon_per_cycle, result.cumulative_success,
-            result.cumulative_failure, result.final_conditional_fidelity,
-        ))
-        detailed.append({
+        records.append({
             "k": k,
             "epsilon_per_cycle": result.epsilon_per_cycle,
             "cumulative_success": result.cumulative_success,
@@ -356,46 +345,43 @@ def _run_zeno(config: ExperimentConfig) -> int:
                 for c in result.per_cycle
             ],
         })
-    path = _write_output(config, columns, rows, body={"rows": detailed, "fit": None})
+    columns = [
+        "k", "epsilon_per_cycle", "cumulative_success", "cumulative_failure",
+        "final_conditional_fidelity",
+    ]
+    path = _write_output(config, columns, {"rows": records, "fit": None})
     print(f"wrote {path}")
     return 0
 
 
 def _run_twotime(config: ExperimentConfig) -> int:
-    model = _noise_model(config, config.n)
-    label_names = None
-    rows = []
-    for eps in config.epsilons:
-        result = two_time_protocol(model, eps, config.seed)
-        if label_names is None:
-            label_names = [
-                "p_" + "_".join(f"{vx}{vy}" for vx, vy in label) for label in result.labels
-            ]
-        rows.append((eps, *[float(p) for p in result.probabilities], result.other_outcome_mass))
-    columns = ["epsilon", *label_names, "other_outcome_mass"]
-    path = _write_output(config, columns, rows)
+    model = _noise_model(config)
+    results = [two_time_protocol(model, eps, config.seed) for eps in config.epsilons]
+    labels = ["p_" + "_".join(f"{vx}{vy}" for vx, vy in label) for label in results[0].labels]
+    columns = ["epsilon", *labels, "other_outcome_mass"]
+    records = [
+        dict(zip(columns, (eps, *[float(p) for p in result.probabilities], result.other_outcome_mass)))
+        for eps, result in zip(config.epsilons, results)
+    ]
+    path = _write_output(config, columns, {"rows": records, "fit": None})
     print(f"wrote {path}")
     return 0
 
 
+_HANDLERS = {"verify": _run_verify, "sweep": _run_sweep, "zeno": _run_zeno, "twotime": _run_twotime}
+
+
 def run(config: ExperimentConfig) -> int:
-    """Execute a validated configuration; returns the process exit status."""
+    """Validate a configuration and execute it; returns the process exit status."""
     config.validate()
-    handlers = {
-        "verify": _run_verify,
-        "sweep": _run_sweep,
-        "zeno": _run_zeno,
-        "twotime": _run_twotime,
-    }
-    return handlers[config.subcommand](config)
+    return _HANDLERS[config.subcommand](config)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _merge_config(args)
-        return run(config)
+        return run(_merge_config(args))
     except (ConfigError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -92,14 +92,6 @@ class IdentityReport:
     max_defect: float
     note: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "status": self.status,
-            "max_defect": self.max_defect,
-            "note": self.note,
-        }
-
 
 def _report(identity: str, defect: float, note: str = "") -> IdentityReport:
     status = "pass" if defect <= _TOL else "fail"

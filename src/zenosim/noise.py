@@ -177,6 +177,13 @@ def model_to_dict(model: NoiseModel) -> dict:
     return {"n": model.n, "seed": model.seed, "couplings": pairs.tolist()}
 
 
+def _integer(value, key: str) -> int:
+    """An int or an integral float; a bool, a fraction or a string is an error, never truncated."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ContractViolation(f"{key} must be an integer, got {value!r}")
+
+
 def model_from_dict(data: dict) -> NoiseModel:
     """The model of `model_to_dict`'s layout; a legacy "epsilon" key is ignored."""
     pairs = np.asarray(data["couplings"])  # ValueError when ragged
@@ -184,7 +191,7 @@ def model_from_dict(data: dict) -> NoiseModel:
         raise ContractViolation("couplings must be [real, imaginary] pairs of numbers")
     seed = data.get("seed")
     couplings = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]  # signed zeros kept
-    return NoiseModel(int(data["n"]), couplings, seed=None if seed is None else int(seed))
+    return NoiseModel(_integer(data["n"], "n"), couplings, seed=None if seed is None else _integer(seed, "seed"))
 
 
 def save_model(model: NoiseModel, path) -> None:

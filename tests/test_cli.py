@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import zenosim
-from zenosim.cli import ExperimentConfig, _build_parser, main, parse_epsilons
+from zenosim.cli import FIELDS, ExperimentConfig, _build_parser, main, parse_epsilons
 from zenosim.errors import ConfigError
 from zenosim.heisenberg import run_verification
 from zenosim.noise import model_to_dict, random_model, save_model, zero_model
@@ -43,8 +44,6 @@ def test_config_validation_messages():
         ExperimentConfig("zeno", n=1, k_values=[1]).validate()
     with pytest.raises(ConfigError, match="k_values:"):
         ExperimentConfig("zeno", n=1, total_epsilon=0.1, k_values=[0]).validate()
-    with pytest.raises(ConfigError, match="model_file:"):
-        ExperimentConfig("sweep", n=1, epsilons=[1e-3], noise_kind="fixed-from-file").validate()
     with pytest.raises(ConfigError, match="output_path:"):
         ExperimentConfig("sweep", n=1, epsilons=[1e-3], output_path=5).validate()
     with pytest.raises(ConfigError, match="seed:"):
@@ -207,6 +206,11 @@ def _model_file_with_block(tmp_path, block):
     return _model_file(tmp_path, json.dumps(data))
 
 
+def _model_file_with(tmp_path, **fields):
+    """A valid n = 1 model file with `fields` written over its own."""
+    return _model_file(tmp_path, json.dumps({**model_to_dict(random_model(1, seed=0)), **fields}))
+
+
 NAN_BLOCK = [[[math.nan, math.nan]] * 2] * 2  # json writes and reads NaN
 
 
@@ -272,6 +276,17 @@ OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp wou
         (lambda tmp: ["zeno", "--n", "2", "--total-eps", "1e308", "--k", "1", "--env-policy", "persist"], OVERFLOW),
         (lambda tmp: ["twotime", "--n", "2", "--eps", "1e308"], OVERFLOW),
         (lambda tmp: ["sweep", "--n", "2", "--eps", "1e306..1e308", "--points", "4"], OVERFLOW),
+        (lambda tmp: [*SWEEP, "--n", "2", "--points", "4", *_config(tmp, '{"psi": "random-seeded", "psi_seed": 3}')],
+         "config: unknown field 'psi'"),
+        (lambda tmp: [*SWEEP, *_config(tmp, '{"noise_kind": "fixed-from-file"}')], "noise_kind:"),
+        (lambda tmp: [*SWEEP, "--model-file", _model_file_with(tmp), *_config(tmp, '{"noise_kind": "random"}')],
+         "noise_kind:"),
+        (lambda tmp: [*SWEEP, "--out", str(tmp / "missing" / "out.csv")], "output_path: cannot write"),
+        (lambda tmp: [*SWEEP, "--out", str(tmp)], "output_path: cannot write"),
+        (lambda tmp: ["verify", "--out", str(tmp / "missing" / "out.csv")], "output_path: cannot write"),
+        (lambda tmp: [*SWEEP, "--model-file", _model_file_with(tmp, n=1.9)], "model_file:"),
+        (lambda tmp: [*SWEEP, "--model-file", _model_file_with(tmp, n=True)], "model_file:"),
+        (lambda tmp: [*SWEEP, "--model-file", _model_file_with(tmp, seed=2.7)], "model_file:"),
     ],
     ids=["range-to-inf", "nan-in-list", "twotime-n7", "nan-total", "missing-model", "model-without-couplings",
          "model-short-couplings", "model-null-n", "model-not-json",
@@ -285,12 +300,18 @@ OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp wou
          "sweep-config-not-utf8",
          "sweep-nan-couplings", "zeno-nan-couplings", "sweep-ragged-couplings", "sweep-text-couplings",
          "zeno-reset-phase-overflow",
-         "zeno-persist-phase-overflow", "twotime-phase-overflow", "sweep-phase-overflow"],
+         "zeno-persist-phase-overflow", "twotime-phase-overflow", "sweep-phase-overflow",
+         "sweep-config-unknown-key", "sweep-config-noise-kind-without-model", "sweep-config-noise-kind-with-model",
+         "sweep-out-missing-dir", "sweep-out-is-directory", "verify-out-missing-dir",
+         "model-fractional-n", "model-boolean-n", "model-fractional-seed"],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print a second stderr line
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
-    assert main([*argv(tmp_path), "--out", str(out)]) == 2
+    argv = argv(tmp_path)
+    if "--out" not in argv:  # a case that names its own output keeps it
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
     assert not out.exists()
@@ -357,3 +378,62 @@ def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):
         subprocess.run([sys.executable, "-m", "zenosim.cli", *argv, "--out", str(out)],
                        check=True, env=env, capture_output=True)
         assert _data_lines_of(out) == in_process[name], name
+
+
+def test_an_unwritable_output_directory_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ZENOSIM_OUTDIR", str(tmp_path / "missing"))
+    assert main(["sweep", "--n", "1", "--eps", "1e-3..3e-2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: output_path: cannot write"), err
+
+
+REPLAYS = {
+    "sweep": ["sweep", "--n", "2", "--seed", "7", "--eps", "1e-3..1e-1", "--points", "5",
+              "--psi", "random-seeded", "--psi-seed", "3"],
+    "zeno-reset": ["zeno", "--n", "2", "--seed", "3", "--total-eps", "0.2", "--k", "1,2,4"],
+    "zeno-persist": ["zeno", "--n", "2", "--seed", "3", "--total-eps", "0.2", "--k", "1,2,4",
+                     "--env-policy", "persist", "--format", "json"],
+    "twotime": ["twotime", "--n", "2", "--seed", "5", "--eps", "1e-3..1e-1", "--points", "3"],
+    "zeno-model-file": ["zeno", "--n", "2", "--total-eps", "0.2", "--k", "1,3", "--model-file", "MODEL"],
+}
+
+
+@pytest.mark.parametrize("name", REPLAYS)
+def test_a_recorded_config_replays_its_output(tmp_path, name):
+    model = tmp_path / "model.json"
+    save_model(random_model(2, seed=11), model)
+    argv = [str(model) if arg == "MODEL" else arg for arg in REPLAYS[name]]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    first = data_lines(read_lines(out))
+    text = out.read_text(encoding="utf-8")
+    config = json.loads(text)["config"] if text.startswith("{") else json.loads(first[0].removeprefix("# config: "))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out.unlink()
+    # the recorded output_path sends the replay to the same file
+    assert main([argv[0], "--config", str(cfg)]) == 0
+    assert data_lines(read_lines(out)) == first
+
+
+def test_main_validates_a_config_once(tmp_path, monkeypatch):
+    calls = []
+    validate = ExperimentConfig.validate
+    monkeypatch.setattr(ExperimentConfig, "validate", lambda self: calls.append(self) or validate(self))
+    assert main(["sweep", "--n", "1", "--eps", "1e-3..3e-2", "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(calls) == 1
+
+
+def test_every_flag_sets_a_config_field_and_restates_no_default():
+    # a flag's absence leaves the config file's value or the dataclass default in place
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {subparsers.dest}
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.dest in ("help", "config", "points"):
+                continue
+            assert action.dest in FIELDS, (name, action.option_strings)
+            assert action.default is None, (name, action.option_strings)
+            dests.add(action.dest)
+    assert dests == FIELDS  # and every field has a flag

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -168,5 +170,5 @@ def test_run_verification_all_pass_and_serializable():
     assert len(reports) >= 20
     assert all(r.status == "pass" for r in reports)
     for r in reports:
-        d = r.as_dict()
+        d = dataclasses.asdict(r)
         assert set(d) == {"identity", "status", "max_defect", "note"}
