@@ -1,8 +1,11 @@
 """Command-line interface: identity verification, strength sweeps, repeated
 measurement runs, and the two-time comparison protocol.
 
-Every run is fully determined by its resolved configuration (printed into
-each output file), so identical invocations reproduce identical data rows.
+`SUBCOMMANDS` names the fields each subcommand reads and `FLAGS` each field's
+flag; the parser, validation and dispatch all read these two tables.  A field
+a subcommand does not read keeps its default, so every run is fully determined
+by its resolved configuration (printed into each output file), and identical
+invocations reproduce identical data rows.
 Exit codes: 0 success, 1 failed verification, 2 invalid configuration,
 3 sweep observable at the numerical floor (no fit possible).
 """
@@ -16,6 +19,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +34,24 @@ from .zeno_code import build_code, check_system_count
 
 OUTDIR_ENV_VAR = "ZENOSIM_OUTDIR"
 RANGE_POINTS = 8  # strengths in a lo..hi range unless --points says otherwise
-# the values a field may take, for validation and the parser's choices alike
-CHOICES = {
-    "env_policy": ("reset", "persist"),
-    "psi_kind": ("basis", "random-seeded"),
-    "observable": ("failure", "infidelity"),
-    "output_format": ("csv", "json"),
+COMMON = ("seed", "output_path", "output_format")  # the fields every subcommand reads
+
+# `choices`, where given, are the values the field may take, for validation and the parser alike
+Flag = namedtuple("Flag", "option help choices", defaults=(None,))
+# each settable field's flag, in the dataclass's field order
+FLAGS = {
+    "n": Flag("--n", "number of protected qubits"),
+    "epsilons": Flag("--eps", "comma list or lo..hi geometric range"),
+    "total_epsilon": Flag("--total-eps", "total strength split across cycles"),
+    "k_values": Flag("--k", "comma list of cycle counts"),
+    "seed": Flag("--seed", "master seed"),
+    "model_file": Flag("--model-file", "JSON noise model (sets noise kind)"),
+    "env_policy": Flag("--env-policy", "environment between cycles", ("reset", "persist")),
+    "psi_kind": Flag("--psi", "system state", ("basis", "random-seeded")),
+    "psi_seed": Flag("--psi-seed", "seed of a random system state"),
+    "observable": Flag("--observable", "swept and fitted observable", ("failure", "infidelity")),
+    "output_format": Flag("--format", "output format", ("csv", "json")),
+    "output_path": Flag("--out", "output file path"),
 }
 
 
@@ -56,24 +72,24 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def validate(self) -> None:
-        if self.subcommand not in _HANDLERS:
+        if self.subcommand not in SUBCOMMANDS:
             raise ConfigError(f"unknown subcommand {self.subcommand!r}")
+        reads = COMMON + SUBCOMMANDS[self.subcommand].reads
+        defaults = ExperimentConfig(self.subcommand)
+        for field, flag in FLAGS.items():
+            value, default = getattr(self, field), getattr(defaults, field)
+            if field not in reads and value != default:
+                readers = [name for name, sub in SUBCOMMANDS.items() if field in sub.reads]
+                verb = "reads" if len(readers) == 1 else "read"
+                raise ConfigError(f"{field}: only {', '.join(readers)} {verb} it, "
+                                  f"so {self.subcommand} keeps the default {default!r}")
+            if flag.choices and value not in flag.choices:
+                raise ConfigError(f"{field}: must be {' or '.join(map(repr, flag.choices))}, got {value!r}")
         try:
             check_system_count(self.n)
         except ContractViolation as exc:
             raise ConfigError(str(exc)) from None
-        for field, (first, second) in CHOICES.items():
-            value = getattr(self, field)
-            if value not in (first, second):
-                raise ConfigError(f"{field}: must be {first!r} or {second!r}, got {value!r}")
-        defaults = ExperimentConfig(self.subcommand)
-        if self.subcommand == "twotime" and (self.psi_kind, self.psi_seed) != (defaults.psi_kind, defaults.psi_seed):
-            raise ConfigError("psi: twotime takes no state, so psi_kind and psi_seed keep their defaults")
-        for field, reader in (("env_policy", "zeno"), ("observable", "sweep")):
-            default = getattr(defaults, field)
-            if self.subcommand not in (reader, "verify") and getattr(self, field) != default:
-                raise ConfigError(f"{field}: only {reader} reads it, so {self.subcommand} keeps the default {default!r}")
-        if self.subcommand in ("sweep", "twotime"):
+        if "epsilons" in reads:
             if not self.epsilons:
                 raise ConfigError("epsilons: at least one noise strength is required")
             if not all(math.isfinite(e) for e in self.epsilons):
@@ -88,11 +104,11 @@ class ExperimentConfig:
             value = getattr(self, field)
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"{field}: must be a path, got {value!r}")
-        if self.subcommand == "zeno":
-            if self.total_epsilon is None or not math.isfinite(self.total_epsilon) or self.total_epsilon < 0:
-                raise ConfigError("total_epsilon: a finite nonnegative total strength is required")
-            if not self.k_values or any((not isinstance(k, int)) or k < 1 for k in self.k_values):
-                raise ConfigError("k_values: need positive integer cycle counts")
+        total, ks = self.total_epsilon, self.k_values
+        if "total_epsilon" in reads and (total is None or not math.isfinite(total) or total < 0):
+            raise ConfigError("total_epsilon: a finite nonnegative total strength is required")
+        if "k_values" in reads and (not ks or any(not isinstance(k, int) or k < 1 for k in ks)):
+            raise ConfigError("k_values: need positive integer cycle counts")
 
     @property
     def noise_kind(self) -> str:
@@ -119,6 +135,8 @@ def parse_epsilons(text: str, points: int) -> list:
         return [float(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise ConfigError(f"epsilons: could not parse {text!r}") from exc
+    except MemoryError:
+        raise ConfigError(f"points: a grid of {points} strengths does not fit in memory") from None
 
 
 def _as_float(value, field: str) -> float:
@@ -151,10 +169,14 @@ def _as_list(raw, convert, field: str) -> list:
     return [convert(v, field) for v in raw]
 
 
-def _coercions(points: int) -> dict:
+def _coercions(points: int | None) -> dict:
     """Each typed field's one reader, for a flag's text and a config file's JSON value alike."""
     def epsilons(raw, field):
-        return parse_epsilons(raw, points) if isinstance(raw, str) else _as_list(raw, _as_float, field)
+        if points is not None and not (isinstance(raw, str) and ".." in raw):
+            raise ConfigError("points: only a lo..hi strength range reads it")
+        if isinstance(raw, str):
+            return parse_epsilons(raw, RANGE_POINTS if points is None else points)
+        return _as_list(raw, _as_float, field)
 
     return {"n": _as_int, "seed": _as_int, "psi_seed": _as_int, "total_epsilon": _as_float,
             "k_values": lambda raw, field: _as_list(raw, _as_int, field), "epsilons": epsilons}
@@ -162,48 +184,20 @@ def _coercions(points: int) -> dict:
 
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
-    """Every flag but --config and --points sets the field its dest names, and has no default."""
+    """Every flag but --config and --points sets the field its dest names; no flag has a default."""
     parser = argparse.ArgumentParser(
         prog="zenosim",
         description="Exact simulator for a two-ancilla measurement-based error-prevention code.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for name, subcommand in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=subcommand.help)
         p.add_argument("--config", help="JSON file with configuration defaults")
-        p.add_argument("--seed", help="master seed")
-        p.add_argument("--out", dest="output_path", help="output file path")
-        p.add_argument("--format", dest="output_format", choices=CHOICES["output_format"], help="output format")
-
-    def state(p):
-        p.add_argument("--psi", dest="psi_kind", choices=CHOICES["psi_kind"])
-        p.add_argument("--psi-seed")
-
-    p_verify = sub.add_parser("verify", help="run every algebraic identity check")
-    common(p_verify)
-
-    for name, helptext in (
-        ("sweep", "single-cycle statistics over a noise-strength grid"),
-        ("twotime", "two-time comparison protocol outcome distribution"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        common(p)
-        p.add_argument("--n", help="number of protected qubits")
-        p.add_argument("--eps", dest="epsilons", help="comma list or lo..hi geometric range")
-        p.add_argument("--points", type=int, default=RANGE_POINTS, help="points for a lo..hi range")
-        p.add_argument("--model-file", help="JSON noise model (sets noise kind)")
-        if name == "sweep":  # the two-time readout does not depend on the state
-            state(p)
-            p.add_argument("--observable", choices=CHOICES["observable"])
-
-    p_zeno = sub.add_parser("zeno", help="repeated-measurement suppression runs")
-    common(p_zeno)
-    p_zeno.add_argument("--n")
-    p_zeno.add_argument("--total-eps", dest="total_epsilon", help="total strength split across cycles")
-    p_zeno.add_argument("--k", dest="k_values", help="comma list of cycle counts")
-    p_zeno.add_argument("--env-policy", choices=CHOICES["env_policy"])
-    p_zeno.add_argument("--model-file")
-    state(p_zeno)
+        for field in COMMON + subcommand.reads:
+            flag = FLAGS[field]
+            p.add_argument(flag.option, dest=field, choices=flag.choices, help=flag.help)
+            if field == "epsilons":
+                p.add_argument("--points", help=f"points for a lo..hi range (default {RANGE_POINTS})")
     return parser
 
 
@@ -227,7 +221,8 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config: unknown field {unknown[0]!r}")
     flags = {key: value for key, value in vars(args).items() if key in FIELDS and value is not None}
     values = {key: value for key, value in file_values.items() if key in FIELDS} | flags
-    for field, convert in _coercions(getattr(args, "points", RANGE_POINTS)).items():
+    points = None if getattr(args, "points", None) is None else _as_int(args.points, "points")
+    for field, convert in _coercions(points).items():
         if values.get(field) is not None:
             values[field] = convert(values[field], field)
     config = ExperimentConfig(**values)
@@ -303,14 +298,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
         {"epsilon": r.x, "failure_probability": r.failure_probability, "infidelity": r.infidelity}
         for r in table.rows
     ]
-    fit = None
-    if table.fit is not None:
-        fit = {
-            "observable": table.observable,
-            "slope": table.fit.slope,
-            "intercept": table.fit.intercept,
-            "max_residual": table.fit.max_residual,
-        }
+    fit = None if table.fit is None else {"observable": table.observable, **dataclasses.asdict(table.fit)}
     path = _write_output(
         config, ["epsilon", "failure_probability", "infidelity"],
         {"rows": records, "fit": fit, "status": table.status},
@@ -368,13 +356,23 @@ def _run_twotime(config: ExperimentConfig) -> int:
     return 0
 
 
-_HANDLERS = {"verify": _run_verify, "sweep": _run_sweep, "zeno": _run_zeno, "twotime": _run_twotime}
+# a subcommand's handler, its help text and the config fields it reads beyond COMMON
+Subcommand = namedtuple("Subcommand", "run help reads", defaults=((),))
+SUBCOMMANDS = {
+    "verify": Subcommand(_run_verify, "run every algebraic identity check"),
+    "sweep": Subcommand(_run_sweep, "single-cycle statistics over a noise-strength grid",
+                        ("n", "epsilons", "model_file", "psi_kind", "psi_seed", "observable")),
+    "twotime": Subcommand(_run_twotime, "two-time comparison protocol outcome distribution",
+                          ("n", "epsilons", "model_file")),
+    "zeno": Subcommand(_run_zeno, "repeated-measurement suppression runs",
+                       ("n", "total_epsilon", "k_values", "env_policy", "model_file", "psi_kind", "psi_seed")),
+}
 
 
 def run(config: ExperimentConfig) -> int:
     """Validate a configuration and execute it; returns the process exit status."""
     config.validate()
-    return _HANDLERS[config.subcommand](config)
+    return SUBCOMMANDS[config.subcommand].run(config)
 
 
 def main(argv=None) -> int:

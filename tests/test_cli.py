@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import zenosim
+import zenosim.cli
 from zenosim.cli import FIELDS, ExperimentConfig, _build_parser, main, parse_epsilons
 from zenosim.errors import ConfigError
 from zenosim.heisenberg import run_verification
@@ -223,6 +224,10 @@ def _config(tmp_path, content):
 SWEEP = ["sweep", "--eps", "1e-3..1e-1"]
 ZENO = ["zeno", "--total-eps", "0.1", "--k", "1"]
 OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp would give NaN
+POINTS_WITHOUT_RANGE = "points: only a lo..hi strength range reads it"
+# fields verify never reads: each must keep its default
+UNREAD_BY_VERIFY = {"n": 3, "env_policy": "persist", "observable": "infidelity", "epsilons": [5],
+                    "psi_kind": "random-seeded"}
 
 
 @pytest.mark.parametrize(
@@ -258,8 +263,8 @@ OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp wou
         (lambda tmp: [*ZENO[:1], "--k", "1", *_config(tmp, '{"total_epsilon": "abc"}')], "total_epsilon:"),
         (lambda tmp: [*SWEEP, *_config(tmp, '{"seed": -1}')], "seed:"),
         (lambda tmp: [*ZENO, "--psi", "random-seeded", "--psi-seed", "-1"], "psi_seed:"),
-        (lambda tmp: ["twotime", "--eps", "1e-2", *_config(tmp, '{"psi_kind": "random-seeded"}')], "psi:"),
-        (lambda tmp: ["twotime", "--eps", "1e-2", *_config(tmp, '{"psi_seed": 3}')], "psi:"),
+        (lambda tmp: ["twotime", "--eps", "1e-2", *_config(tmp, '{"psi_kind": "random-seeded"}')], "psi_kind:"),
+        (lambda tmp: ["twotime", "--eps", "1e-2", *_config(tmp, '{"psi_seed": 3}')], "psi_seed:"),
         (lambda tmp: [*SWEEP, *_config(tmp, '{"env_policy": "persist"}')], "env_policy: only zeno"),
         (lambda tmp: ["twotime", "--eps", "1e-2", *_config(tmp, '{"env_policy": "persist"}')], "env_policy: only zeno"),
         (lambda tmp: [*ZENO, *_config(tmp, '{"observable": "infidelity"}')], "observable: only sweep"),
@@ -287,6 +292,16 @@ OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp wou
         (lambda tmp: [*SWEEP, "--model-file", _model_file_with(tmp, n=1.9)], "model_file:"),
         (lambda tmp: [*SWEEP, "--model-file", _model_file_with(tmp, n=True)], "model_file:"),
         (lambda tmp: [*SWEEP, "--model-file", _model_file_with(tmp, seed=2.7)], "model_file:"),
+        (lambda tmp: ["verify", *_config(tmp, json.dumps(UNREAD_BY_VERIFY))], "n:"),
+        (lambda tmp: ["verify", *_config(tmp, '{"env_policy": "persist"}')], "env_policy: only zeno"),
+        (lambda tmp: ["verify", *_config(tmp, json.dumps({"model_file": _model_file_with(tmp)}))], "model_file:"),
+        (lambda tmp: ["twotime", "--eps", "1e-2", *_config(tmp, '{"k_values": [3]}')], "k_values:"),
+        (lambda tmp: [*ZENO, *_config(tmp, '{"epsilons": [0.1, 0.2]}')], "epsilons:"),
+        (lambda tmp: [*SWEEP, *_config(tmp, '{"total_epsilon": 0.1}')], "total_epsilon:"),
+        (lambda tmp: ["sweep", "--eps", "1e-3,1e-2,1e-1,3e-1", "--points", "2"], POINTS_WITHOUT_RANGE),
+        (lambda tmp: ["sweep", "--points", "2", *_config(tmp, '{"epsilons": [1e-3, 1e-2, 1e-1]}')],
+         POINTS_WITHOUT_RANGE),
+        (lambda tmp: [*SWEEP, "--points", "two"], "points: expected an integer"),
     ],
     ids=["range-to-inf", "nan-in-list", "twotime-n7", "nan-total", "missing-model", "model-without-couplings",
          "model-short-couplings", "model-null-n", "model-not-json",
@@ -303,7 +318,10 @@ OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp wou
          "zeno-persist-phase-overflow", "twotime-phase-overflow", "sweep-phase-overflow",
          "sweep-config-unknown-key", "sweep-config-noise-kind-without-model", "sweep-config-noise-kind-with-model",
          "sweep-out-missing-dir", "sweep-out-is-directory", "verify-out-missing-dir",
-         "model-fractional-n", "model-boolean-n", "model-fractional-seed"],
+         "model-fractional-n", "model-boolean-n", "model-fractional-seed",
+         "verify-config-unread-fields", "verify-config-env-policy", "verify-config-model-file",
+         "twotime-config-k", "zeno-config-eps", "sweep-config-total",
+         "sweep-points-with-list", "sweep-points-with-config-list", "sweep-points-word"],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print a second stderr line
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
@@ -395,6 +413,7 @@ REPLAYS = {
                      "--env-policy", "persist", "--format", "json"],
     "twotime": ["twotime", "--n", "2", "--seed", "5", "--eps", "1e-3..1e-1", "--points", "3"],
     "zeno-model-file": ["zeno", "--n", "2", "--total-eps", "0.2", "--k", "1,3", "--model-file", "MODEL"],
+    "verify": ["verify", "--seed", "7", "--format", "json"],
 }
 
 
@@ -426,14 +445,34 @@ def test_main_validates_a_config_once(tmp_path, monkeypatch):
 
 def test_every_flag_sets_a_config_field_and_restates_no_default():
     # a flag's absence leaves the config file's value or the dataclass default in place
+    common = {"--config", "--seed", "--out", "--format"}
+    options = {
+        "verify": common,
+        "sweep": common | {"--n", "--eps", "--points", "--model-file", "--psi", "--psi-seed", "--observable"},
+        "twotime": common | {"--n", "--eps", "--points", "--model-file"},
+        "zeno": common | {"--n", "--total-eps", "--k", "--env-policy", "--model-file", "--psi", "--psi-seed"},
+    }
     parser = _build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert subparsers.choices.keys() == options.keys()
     dests = {subparsers.dest}
     for name, sub in subparsers.choices.items():
-        for action in sub._actions:
-            if action.dest in ("help", "config", "points"):
+        actions = [action for action in sub._actions if action.dest != "help"]
+        assert {option for action in actions for option in action.option_strings} == options[name], name
+        for action in actions:
+            assert action.default is None, (name, action.option_strings)
+            if action.dest in ("config", "points"):
                 continue
             assert action.dest in FIELDS, (name, action.option_strings)
-            assert action.default is None, (name, action.option_strings)
             dests.add(action.dest)
     assert dests == FIELDS  # and every field has a flag
+
+
+def test_a_grid_too_large_to_allocate_exits_2(monkeypatch, capsys):
+    # stands in for numpy refusing a huge grid, without allocating one
+    def refuse(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(zenosim.cli.np, "geomspace", refuse)
+    assert main(["sweep", "--n", "1", "--eps", "1e-3..1e-1", "--points", "100000000000"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: points:"), err
