@@ -84,13 +84,13 @@ def eigh_calls(monkeypatch):
     ["zeno", "--total-eps", "0.2", "--k", "1,2,4", "--env-policy", "reset"],
     ["zeno", "--total-eps", "0.2", "--k", "1,2,4", "--env-policy", "persist"],
 ], ids=["twotime", "zeno-reset", "zeno-persist"])
-def test_pair_blocks_are_diagonalized_once_per_run(eigh_calls, tmp_path, argv):
+def test_pair_blocks_are_diagonalized_once_per_run(fresh_models, eigh_calls, tmp_path, argv):
     # every strength, and every cycle count of a zeno run, reads the model's cached (w, v)
     assert main([*argv, "--n", "3", "--out", str(tmp_path / "out.csv")]) == 0
     assert eigh_calls == [(3, 4, 4)]
 
 
-def test_derived_models_diagonalize_their_own_pair_blocks(eigh_calls):
+def test_derived_models_diagonalize_their_own_pair_blocks(fresh_models, eigh_calls):
     model = random_model(2, seed=3)
     first = two_time_protocol(model, 0.05, rng_seed=0)
     for _ in range(2):
