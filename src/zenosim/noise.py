@@ -34,8 +34,6 @@ class NoiseModel:
     it read-only, so the Hamiltonian (and its eigendecomposition) and the pair
     eigenbases cached on first use stay valid; `scaled` builds a new model
     with empty caches.  `seed` records where random couplings came from.
-    Since nothing in a model can change, `random_model` hands the same
-    object to every caller that asks for the same (n, seed).
     """
 
     n: int
@@ -86,29 +84,13 @@ class NoiseModel:
         return dataclasses.replace(self, couplings=self.couplings * factor)
 
 
-_LAST_RANDOM: dict[int, NoiseModel] = {}  # n -> the model random_model built last at that n
-
-
 def random_model(n: int, seed: int) -> NoiseModel:
-    """Seeded random Hermitian couplings, each normalized to spectral norm 1.
-
-    Called again with the same int n and int seed, it returns the same model
-    object, so its cached Hamiltonian, eigenbasis and pair bases are reused.
-    One model is kept per n, the last one built; other argument types always
-    build afresh.
-    """
-    reusable = type(n) is int and type(seed) is int
-    kept = _LAST_RANDOM.get(n) if reusable else None
-    if kept is not None and kept.seed == seed:
-        return kept
+    """Seeded random Hermitian couplings, each normalized to spectral norm 1."""
     draws = np.random.default_rng(seed).normal(size=(n, 4, 2, 2, 2))  # per block: real parts, then imaginary
     g = draws[:, :, 0] + 1j * draws[:, :, 1]
     a = (g + g.conj().swapaxes(-1, -2)) / 2
     couplings = a / np.abs(np.linalg.eigvalsh(a)).max(axis=-1)[..., None, None]
-    model = NoiseModel(n, couplings, seed=seed)
-    if reusable:
-        _LAST_RANDOM[n] = model
-    return model
+    return NoiseModel(n, couplings, seed=seed)
 
 
 def zero_model(n: int) -> NoiseModel:

@@ -2,12 +2,12 @@
 
 import pytest
 
-import zenosim.noise
+import zenosim.cli
 
 
 @pytest.fixture
 def fresh_models():
-    """No seeded model kept for reuse before the test and after it, so `random_model` builds afresh."""
-    zenosim.noise._LAST_RANDOM.clear()
+    """No seeded model kept by the CLI before the test and after it, so each run builds its own."""
+    zenosim.cli._kept_model.cache_clear()
     yield
-    zenosim.noise._LAST_RANDOM.clear()
+    zenosim.cli._kept_model.cache_clear()

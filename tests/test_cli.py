@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zenosim
@@ -101,6 +102,44 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
     lines1 = [ln.replace(str(out1), "OUT") for ln in data_lines(read_lines(out1))]
     lines2 = [ln.replace(str(out2), "OUT") for ln in data_lines(read_lines(out2))]
     assert lines1 == lines2
+
+
+def test_a_repeated_sweep_reuses_the_model_and_its_eigenbasis(monkeypatch, fresh_models, tmp_path):
+    out = tmp_path / "sweep.csv"  # one path, since the config line records it
+
+    def sweep_lines():
+        assert main(["sweep", "--n", "3", "--eps", "1e-3..3e-2", "--points", "8", "--out", str(out)]) == 0
+        return data_lines(read_lines(out))
+
+    first = sweep_lines()
+    calls = []
+    for holder, name in ((np.linalg, "eigh"), (zenosim.noise, "build_hamiltonian")):
+        def spy(*args, name=name, real=getattr(holder, name), **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(holder, name, spy)
+    assert sweep_lines() == first
+    assert calls == []
+    zenosim.cli._kept_model.cache_clear()
+    assert sweep_lines() == first
+    assert calls == ["build_hamiltonian", "eigh"]
+
+
+def test_only_small_seeded_models_are_kept(fresh_models, tmp_path):
+    def model(**fields):
+        return zenosim.cli._noise_model(ExperimentConfig("sweep", **fields))
+
+    kept = [model(n=2, seed=s) for s in range(3)] + [model(n=3)]
+    assert all(model(n=2, seed=s) is kept[s] for s in range(3)) and model(n=3) is kept[3]
+    assert model(n=5) is not model(n=5)  # too large to hold
+    path = tmp_path / "model.json"
+    save_model(random_model(2, 0), path)
+    assert model(n=2, model_file=str(path)) is not model(n=2, model_file=str(path))
+    model(n=1)  # a fifth (n, seed) evicts the one asked for longest ago
+    assert zenosim.cli._kept_model.cache_info().currsize == 4
+    again = model(n=2, seed=0)
+    assert again is not kept[0] and np.array_equal(again.couplings, kept[0].couplings)
 
 
 def test_sweep_floor_exit_code(tmp_path):

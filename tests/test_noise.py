@@ -4,9 +4,7 @@ import json
 import numpy as np
 import pytest
 
-import zenosim.noise
 from dense_reference import dense_build_hamiltonian, evolve_exact, evolve_first_order, reduced_density_matrix
-from zenosim.cli import main
 from zenosim.errors import ContractViolation
 from zenosim.fitting import fit_power_law
 from zenosim.noise import (
@@ -22,7 +20,6 @@ from zenosim.noise import (
     save_model,
     zero_model,
 )
-from zenosim.output import data_lines
 from zenosim.pauli import PAULI_MATRICES
 from zenosim.protocol import single_cycle
 from zenosim.statevec import (
@@ -50,58 +47,21 @@ def test_random_model_is_seed_deterministic():
     assert not np.array_equal(a.couplings, c.couplings)
 
 
+def test_random_model_builds_a_new_model_on_every_call():
+    first = random_model(2, seed=0)
+    again = random_model(2, seed=0)
+    assert again is not first and np.array_equal(again.couplings, first.couplings)
+    with pytest.raises(TypeError):
+        random_model(2, 1.0)
+    assert random_model(2, True).seed is True
+
+
 def test_random_model_couplings_have_unit_norm():
     model = random_model(3, seed=4)
     for i in range(3):
         for b in range(4):
             norm = np.abs(np.linalg.eigvalsh(model.couplings[i, b])).max()
             assert norm == pytest.approx(1.0, abs=1e-12)
-
-
-def test_a_repeated_sweep_reuses_the_model_and_its_eigenbasis(monkeypatch, fresh_models, tmp_path):
-    out = tmp_path / "sweep.csv"  # one path, since the config line records it
-
-    def sweep_lines():
-        assert main(["sweep", "--n", "3", "--eps", "1e-3..3e-2", "--points", "8", "--out", str(out)]) == 0
-        return data_lines(out.read_text(encoding="utf-8").splitlines())
-
-    first = sweep_lines()
-    calls = []
-    for holder, name in ((np.linalg, "eigh"), (zenosim.noise, "build_hamiltonian")):
-        def spy(*args, name=name, real=getattr(holder, name), **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(holder, name, spy)
-    assert sweep_lines() == first
-    assert calls == []
-    zenosim.noise._LAST_RANDOM.clear()
-    assert sweep_lines() == first
-    assert calls == ["build_hamiltonian", "eigh"]
-
-
-def test_one_model_is_kept_per_size(fresh_models):
-    kept = [random_model(2, s) for s in range(3)]
-    three = random_model(3, 0)
-    assert zenosim.noise._LAST_RANDOM == {2: kept[2], 3: three}
-    assert random_model(2, 2) is kept[2] and random_model(3, 0) is three
-    again = random_model(2, 0)  # evicted by seeds 1 and 2, so built anew
-    assert again is not kept[0] and np.array_equal(again.couplings, kept[0].couplings)
-    assert zenosim.noise._LAST_RANDOM == {2: again, 3: three}
-
-
-def test_only_int_sizes_and_seeds_are_reused(fresh_models):
-    with pytest.raises(TypeError):
-        random_model(2, 1.0)
-    flag = random_model(2, True)
-    assert flag.seed is True and random_model(2, True) is not flag
-    wide = random_model(2, np.int64(3))
-    assert type(wide.seed) is np.int64 and random_model(2, np.int64(3)) is not wide
-    assert np.array_equal(wide.couplings, random_model(2, 3).couplings)
-    drawn = [random_model(2, None) for _ in range(2)]  # fresh entropy each time
-    assert drawn[0].seed is None and not np.array_equal(drawn[0].couplings, drawn[1].couplings)
-    assert random_model(np.int64(2), 3) is not random_model(np.int64(2), 3)
-    assert list(zenosim.noise._LAST_RANDOM) == [2] and zenosim.noise._LAST_RANDOM[2].seed == 3
 
 
 def per_block_random_couplings(n, seed):

@@ -214,7 +214,7 @@ def test_sweep_rejects_bad_grids(code1, model1):
         epsilon_sweep(code1, model1, list(EPS_GRID), observable="entropy")
 
 
-def test_sweep_decomposes_the_hamiltonian_once_per_model(monkeypatch, fresh_models):
+def test_sweep_decomposes_the_hamiltonian_once_per_model(monkeypatch):
     calls = []
     real = np.linalg.eigh
 
@@ -234,7 +234,7 @@ def test_sweep_decomposes_the_hamiltonian_once_per_model(monkeypatch, fresh_mode
     assert calls == [(64, 64)] * 2
 
 
-def test_sweep_checks_the_eigenbasis_once_and_no_unitary(monkeypatch, fresh_models):
+def test_sweep_checks_the_eigenbasis_once_and_no_unitary(monkeypatch):
     checked = []
     real = zenosim.statevec._check_orthonormal
 

@@ -90,7 +90,7 @@ def test_pair_blocks_are_diagonalized_once_per_run(fresh_models, eigh_calls, tmp
     assert eigh_calls == [(3, 4, 4)]
 
 
-def test_derived_models_diagonalize_their_own_pair_blocks(fresh_models, eigh_calls):
+def test_derived_models_diagonalize_their_own_pair_blocks(eigh_calls):
     model = random_model(2, seed=3)
     first = two_time_protocol(model, 0.05, rng_seed=0)
     for _ in range(2):
