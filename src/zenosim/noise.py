@@ -129,6 +129,15 @@ def _strength(epsilon: float) -> float:
     return epsilon
 
 
+def fresh_columns(n: int) -> int:
+    """How many leading columns of exp(+i eps H) `noise_unitary` forms: the 2^n of a fresh environment, at least 4.
+
+    A product with fewer than four columns does not round like the first
+    columns of the whole product on every BLAS, so n = 1 forms all of U.
+    """
+    return max(2**n, 4)
+
+
 def noise_unitary(model: NoiseModel, epsilon: float) -> DenseOperator:
     """exp(+i eps H) on the system|environment block, with every column of a non-fresh environment zero.
 
@@ -137,12 +146,12 @@ def noise_unitary(model: NoiseModel, epsilon: float) -> DenseOperator:
     diagonalized once per model; each call only redoes the phases.
     Only the columns where the environment is in |0...0> are formed,
     U (1 (x) |0...0><0...0|_env): the environment bits are the high bits of
-    the block index, so these are the first 2^n columns.  Applied to a state
-    whose environment is |0...0>, the result is bit for bit that of the whole U.
+    the block index, so these are the first 2^n columns (`fresh_columns`),
+    bit for bit the same columns of the whole U.  A single cycle reads only
+    those columns, as one (4^n, columns) by (columns, 4) product with the
+    state's fresh rows.
     """
-    # A product with fewer than four columns does not round like the first
-    # columns of the whole product on every BLAS, so n = 1 forms all of U.
-    return hermitian_exp(model.hamiltonian, _strength(epsilon), max(2**model.n, 4))
+    return hermitian_exp(model.hamiltonian, _strength(epsilon), fresh_columns(model.n))
 
 
 def pair_unitaries(model: NoiseModel, epsilon: float) -> np.ndarray:

@@ -5,11 +5,14 @@ measurement.  All reported statistics are exact Born probabilities on the
 postselected (no-error) branch; sampling is layered on top purely for
 realism and is always seeded.
 
-Single cycles and sweeps evolve the full ancilla|system|environment state
-vector under the dense noise unitary; the encoder acts on it as four
-branch words.  The two-time protocol and repeated-measurement runs never
-build the full state; the two-time distribution is a product of one
-weight per system and outcome.  The noise factorizes as
+Single cycles and sweeps encode the ancilla|system state as four branch
+words and evolve it under only the fresh-environment columns of the dense
+noise unitary: the environment enters in |0...0>, so one (4^n, c) by (c, 4)
+product of the first c = `fresh_columns(n)` columns of `noise_unitary` with
+the encoded [system, ancilla] rows is the whole evolved register.  The
+two-time protocol and repeated-measurement runs never build the full
+state; the two-time distribution is a product of one weight per system
+and outcome.  The noise factorizes as
 exp(i eps H) = (x)_i V_i over (system i, environment i) pairs, and the encoder is
 sum_a |a><a| (x) sigma_a^(x)n, so the syndrome-b branch of one cycle is
 1/4 sum_a chi_b(a) (x)_i sigma_a V_i sigma_a, with chi_b(a) =
@@ -40,17 +43,15 @@ import numpy as np
 
 from .errors import ContractViolation
 from .fitting import PowerLawFit, fit_power_law
-from .noise import NoiseModel, noise_unitary, pair_deviations, pair_unitaries
+from .noise import NoiseModel, fresh_columns, noise_unitary, pair_deviations, pair_unitaries
 from .pauli import PAULI_MATRICES
 from .statevec import (
     NORM_TOL,
     StateVector,
-    apply,
     basis_state,
     kron_all,
     overlap_probability,
     postselect,
-    product_state,
     projection_probabilities,
     sample_outcomes,
 )
@@ -124,14 +125,23 @@ class TwoTimeResult:
         return math.fsum(self.probabilities[1:])
 
 
-def _attach_environment(state: StateVector, n: int) -> StateVector:
-    return product_state(state, basis_state(n))
-
-
 def _cycle_state(code: ZenoCode, state: StateVector, model: NoiseModel, epsilon: float) -> StateVector:
-    state = encode(code, state)
-    state = apply(noise_unitary(model, epsilon), state)
-    return decode(code, state)
+    """Encode the ancilla|system `state`, evolve it with a fresh environment and decode the whole register.
+
+    Rows [s, a] of the encoded state are the rows of the register's
+    (system|environment block, ancilla) view where the environment is
+    |0...0>; every other row is zero, so the product reads only the
+    columns `noise_unitary` forms.  At n = 1 it runs over all four, against
+    zero rows for environment 1, for the rounding reason of `fresh_columns`.
+    For a basis psi each ancilla column holds one nonzero amplitude, so the
+    product adds no terms and matches the dense register bit for bit; for
+    other states the sums run over the columns in their natural order.
+    """
+    width = fresh_columns(code.n)
+    rows = np.zeros((width, 4), dtype=complex)
+    rows[: 2**code.n] = encode(code, state).amplitudes.reshape(-1, 4)
+    evolved = noise_unitary(model, epsilon).matrix[:, :width] @ rows
+    return decode(code, StateVector(evolved))
 
 
 def _check_norm_drift(before: StateVector, after: StateVector) -> None:
@@ -157,9 +167,8 @@ def single_cycle(
     if model.n != code.n:
         raise ContractViolation(f"noise model has n={model.n} but code has n={code.n}")
     reference = prepare(code, psi)
-    start = _attach_environment(reference, code.n)
-    state = _cycle_state(code, start, model, epsilon)
-    _check_norm_drift(start, state)
+    state = _cycle_state(code, reference, model, epsilon)
+    _check_norm_drift(reference, state)
     probs = projection_probabilities(state, (0, 1), code.syndrome_basis)
     _, post = postselect(state, (0, 1), code.in_state)
     fidelity = overlap_probability(post, reference)

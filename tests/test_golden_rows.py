@@ -29,6 +29,11 @@ def _invocations() -> dict:
                 runs[f"sweep-n{n}-s{seed}-{fmt}"] = [
                     "sweep", "--n", str(n), "--seed", str(seed), "--eps", SWEEP_EPS, "--format", fmt,
                 ]
+            for n in (2, 4):
+                runs[f"sweep-n{n}-random-s{seed}-{fmt}"] = [
+                    "sweep", "--n", str(n), "--seed", str(seed), "--psi", "random-seeded", "--psi-seed", str(seed),
+                    "--eps", SWEEP_EPS, "--format", fmt,
+                ]
             for n in (1, 2):
                 runs[f"twotime-n{n}-s{seed}-{fmt}"] = [
                     "twotime", "--n", str(n), "--seed", str(seed), "--eps", TWOTIME_EPS, "--format", fmt,

@@ -8,8 +8,11 @@ dense reference's reach (n = 5, 6) the persist kernel is checked against the
 per-pair 7-index einsum it replaced, kept here as `einsum_persist_run`, and
 past the cap (n = 7..10) both policies' first cycle from |0...0> against
 `dense_reference.product_input_first_cycle`, which forms no state vector.
+`single_cycle`, the sweep's kernel, is checked against a one-cycle dense run:
+bit for bit for basis states, to rounding for random ones.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -48,12 +51,14 @@ from zenosim.protocol import (
     _reset_step,
     _syndrome_effects,
     epsilon_sweep,
+    single_cycle,
     zeno_run,
 )
 from zenosim.statevec import basis_state, hermitian_exp, operator_on_register, random_state
 from zenosim.zeno_code import build_code
 
 TOL = 1e-12
+SWEEP_STRENGTHS = (1e-3, 1e-2, 3e-2, 0.3)
 CODES = {n: build_code(n) for n in range(1, 6)}
 PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
 
@@ -250,6 +255,46 @@ def test_sweep_forms_only_the_fresh_environment_columns(monkeypatch):
     table = epsilon_sweep(CODES[3], random_model(3, 4), np.geomspace(1e-3, 1e-1, 16))
     assert len(table.rows) == 16
     assert widths == [8] * 16
+
+
+@pytest.fixture(scope="module")
+def sweep_model():
+    """random_model kept per (n, seed) for this module, so the n = 5 dense reference diagonalizes H once."""
+    return functools.cache(random_model)
+
+
+def _dense_cycle(n, model, psi, epsilon):
+    """One cycle on the whole register: the dense encoder and the whole U, through `apply`."""
+    return dense_zeno_run(CODES[n], model, epsilon, 1, "persist", 0, psi).per_cycle[0]
+
+
+@pytest.mark.parametrize("model_seed", [0, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_single_cycle_of_a_basis_state_is_the_dense_register_bit_for_bit(sweep_model, n, model_seed):
+    model = sweep_model(n, model_seed)
+    for psi, epsilon in itertools.product((basis_state(n), basis_state(n, 2**n - 1)), SWEEP_STRENGTHS):
+        assert single_cycle(CODES[n], model, psi, 0, epsilon) == _dense_cycle(n, model, psi, epsilon)
+
+
+@pytest.mark.parametrize("model_seed", [0, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_single_cycle_of_a_random_state_matches_the_dense_register(sweep_model, n, model_seed):
+    model = sweep_model(n, model_seed)
+    for psi_seed, epsilon in itertools.product((0, 7), SWEEP_STRENGTHS):
+        psi = random_state(n, psi_seed)
+        fast, dense = single_cycle(CODES[n], model, psi, 0, epsilon), _dense_cycle(n, model, psi, epsilon)
+        np.testing.assert_allclose(fast.syndrome_probabilities, dense.syndrome_probabilities, rtol=0, atol=1e-15)
+        assert abs(fast.failure_probability - dense.failure_probability) <= 1e-10 * dense.failure_probability
+        assert abs(fast.conditional_fidelity - dense.conditional_fidelity) <= TOL
+
+
+def test_single_cycle_forms_one_noise_unitary_and_applies_no_dense_operator(monkeypatch):
+    calls = []
+    _counting(monkeypatch, zenosim.protocol, "noise_unitary", calls)
+    _counting(monkeypatch, zenosim.statevec, "apply", calls)
+    assert not hasattr(zenosim.protocol, "apply")  # a by-name import would bypass the spy
+    single_cycle(CODES[3], random_model(3, 4), random_state(3, 1), 0, 0.02)
+    assert calls == ["noise_unitary"]
 
 
 @pytest.mark.parametrize("policy", ["reset", "persist"])
