@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .pauli import PAULI_MATRICES
-from .statevec import DenseOperator, check_phases, hermitian_exp, unit_phases
+from .statevec import DenseOperator, check_phases, hermitian_exp
 
 HERMITICITY_TOL = 1e-12
 
@@ -154,20 +154,12 @@ def noise_unitary(model: NoiseModel, epsilon: float) -> DenseOperator:
     return hermitian_exp(model.hamiltonian, _strength(epsilon), fresh_columns(model.n))
 
 
-def pair_unitaries(model: NoiseModel, epsilon: float) -> np.ndarray:
-    """The factors V_i = exp(+i eps H_i) of noise_unitary, one per (system i, environment i) pair.
-
-    H is a sum of commuting terms on disjoint pairs, so exp(i eps H) is the
-    tensor product of the returned 4x4 blocks.  Shape (n, 4, 4); the local
-    index is sys + 2 * env, and each H_i is diagonalized once per model.
-    """
-    eps = _strength(epsilon)
-    w, v = model.pair_eigh
-    return (v * unit_phases(eps, w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
-
-
 def pair_deviations(model: NoiseModel, epsilon: float) -> np.ndarray:
-    """V_i - 1 for the factors of pair_unitaries, shape (n, 4, 4), without forming V_i.
+    """V_i - 1 for the factors V_i = exp(+i eps H_i) of noise_unitary, shape (n, 4, 4), without forming V_i.
+
+    H is a sum of commuting terms on disjoint (system i, environment i) pairs,
+    so exp(i eps H) is the tensor product of the V_i; the local index is
+    sys + 2 * env, and each H_i is diagonalized once per model.
 
     e^{i eps w} - 1 = -2 sin^2(eps w / 2) + i sin(eps w) keeps every digit
     where eps w is small, so entries of order eps come out to relative

@@ -19,18 +19,21 @@ sum_a |a><a| (x) sigma_a^(x)n, so the syndrome-b branch of one cycle is
 `conjugation_sign(a, b)`, twice the syndrome basis entry [a, b].
 
 Repeated-measurement runs split the total noise strength over k cycles.
+Both policies read the noise as per-pair Pauli letters, built from the pair
+deviations V_i - 1 (`_letter_amplitudes`): writing each <e'|V_i|e>_env in
+Paulis, branch b keeps exactly the Pauli strings whose letters XOR to b, so
+every term of a branch b > 0 carries a small letter and no O(1) part cancels.
 Under the default "reset" policy each cycle sees a fresh environment, so a
-cycle is a channel on the system's density matrix.  Writing each pair's
-<e|V_i|0>_env in Paulis, branch b keeps exactly the system Pauli strings
-whose letters XOR to b.  Two objects are built once per run from the pair
-deviations V_i - 1 by recursions over the pairs that group strings by that
-XOR class: the syndrome effects G_b = sum_e K_{b,e}^dagger K_{b,e}, checked to
-sum to 1, and the no-error Kraus operators K_{0,e}.  Each cycle is then
-p_b = tr(G_b rho) and rho <- sum_e K_{0,e} rho K_{0,e}^dagger / p_0; every term
-of G_{b>0} carries a small amplitude on both sides, so no O(1) part cancels.
+cycle is a channel on the system's density matrix, read from the letters with
+e = 0.  Two objects are built once per run by recursions over the pairs that
+group strings by their XOR class: the syndrome effects
+G_b = sum_e K_{b,e}^dagger K_{b,e}, checked to sum to 1, and the no-error
+Kraus operators K_{0,e}.  Each cycle is then p_b = tr(G_b rho) and
+rho <- sum_e K_{0,e} rho K_{0,e}^dagger / p_0.
 "persist" keeps one environment entangled across the whole run and carries
-the joint system|environment pure state, applying the pair factors one at a
-time with each pair's two qubits next to each other (`_contract_pairs`).
+the joint system|environment pure state, each pair's two qubits next to each
+other.  A cycle carries the four branches as the XOR classes of one array and
+applies one (16, 16) class transfer per pair (`_persist_policy_run`).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .fitting import PowerLawFit, fit_power_law
-from .noise import NoiseModel, fresh_columns, noise_unitary, pair_deviations, pair_unitaries
+from .noise import NoiseModel, fresh_columns, noise_unitary, pair_deviations
 from .pauli import PAULI_MATRICES
 from .statevec import (
     NORM_TOL,
@@ -175,25 +178,6 @@ def single_cycle(
     return _cycle_result(probs, fidelity, sample_outcomes(np.random.default_rng(rng_seed), probs[None])[0])
 
 
-def _branch_signs(code: ZenoCode) -> np.ndarray:
-    """chi_b(a) / 4 indexed [b, a]: the syndrome-b branch weights of the four encoder branches."""
-    return code.syndrome_basis.T.real / 2
-
-
-#: sigma_a on the system (low) bit of a (system, environment) pair, shape (4, 1, 4, 4); read-only.
-_PAIR_FLIPS = np.stack([kron_all([np.eye(2)], start=p) for p in PAULI_MATRICES])[:, None]
-_PAIR_FLIPS.flags.writeable = False
-
-
-def _branch_factors(model: NoiseModel, epsilon: float) -> np.ndarray:
-    """W[a, i] = sigma_a V_i sigma_a with sigma_a on system i, shape (4, n, 4, 4).
-
-    The encoder is sum_a |a><a| (x) sigma_a^(x)n, so on ancilla branch a the
-    encode-noise-decode sandwich is the product of these pair factors.
-    """
-    return _PAIR_FLIPS @ pair_unitaries(model, epsilon)[None] @ _PAIR_FLIPS
-
-
 def _no_error_weight(probs: np.ndarray) -> float:
     p0 = float(probs[0])
     if not p0 > 1e-300:
@@ -222,17 +206,19 @@ _HALF_TRACES.flags.writeable = False
 
 
 def _letter_amplitudes(model: NoiseModel, epsilon: float) -> np.ndarray:
-    """letters[i, e, c] = 1/2 tr_sys(sigma_c <e|V_i|0>_env), so <e|V_i|0> = sum_c letters[i, e, c] sigma_c.
+    """letters[i, e', e, c] = 1/2 tr_sys(sigma_c <e'|V_i|e>_env), so <e'|V_i|e> = sum_c letters[i, e', e, c] sigma_c.
 
-    Shape (n, 2, 4).  Only the columns with the environment entering in |0> are
-    read, from the deviation V_i - 1: its identity part adds 1 to letters[i, 0, 0]
-    alone, since tr sigma_c = 0 for every other letter, so the small amplitudes
-    never pass through 1.
+    Shape (n, 2, 2, 4); the reset and two-time kernels read the e = 0 slice,
+    where the environment enters in |0>.  The letters come from the deviation
+    V_i - 1: its identity part adds 1 to letters[i, e, e, 0] alone, since
+    tr sigma_c = 0 for every other letter, so the small amplitudes never pass
+    through 1.
     """
     n = model.n
-    deviation = pair_deviations(model, epsilon).reshape(n, 2, 2, 2, 2)[..., 0, :]  # [i, env out, sys out, sys in]
-    letters = deviation.reshape(n, 2, 4) @ _HALF_TRACES
-    letters[:, 0, 0] += 1.0
+    deviation = pair_deviations(model, epsilon).reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)  # [i, e', e, s', s]
+    letters = deviation.reshape(n, 2, 2, 4) @ _HALF_TRACES
+    letters[:, 0, 0, 0] += 1.0
+    letters[:, 1, 1, 0] += 1.0
     return letters
 
 
@@ -242,9 +228,9 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-# Transfer tables of the reset-policy recursions.  A letter part takes class j
-# to class k when its letter is k ^ j; a pair's transfer matrix gathers the
-# pair's amplitudes through the index table and multiplies by the Pauli table.
+# Transfer tables of the class recursions.  A letter part takes class j to
+# class k when its letter is k ^ j; a pair's transfer matrix gathers the pair's
+# amplitudes through the index table and multiplies by the Pauli table.
 def _effect_transfer() -> tuple[np.ndarray, np.ndarray]:
     """[(k', k), s, t, (j', j)] -> flat [c', c] of the letter Gram, and (sigma_c'^dagger sigma_c)[s, t]."""
     bra, ket, s, t, bra_from, ket_from = np.indices((4, 4, 2, 2, 4, 4))
@@ -260,8 +246,16 @@ def _kraus_transfer() -> tuple[np.ndarray, np.ndarray]:
     return 4 * env + (ket ^ ket_from), np.stack(PAULI_MATRICES)[ket ^ ket_from, s, t]
 
 
+def _pair_transfer() -> tuple[np.ndarray, np.ndarray]:
+    """[(k, e', s'), (j, e, s)] -> flat [e', e, c] of the letter amplitudes, and sigma_c[s', s]."""
+    ket, env_out, s_out, ket_from, env, s = np.indices((4, 2, 2, 4, 2, 2))
+    letter = ket ^ ket_from
+    return (8 * env_out + 4 * env + letter).reshape(16, 16), np.stack(PAULI_MATRICES)[letter, s_out, s].reshape(16, 16)
+
+
 _EFFECT_TRANSFER = _read_only(*_effect_transfer())
 _KRAUS_TRANSFER = _read_only(*_kraus_transfer())
+_PAIR_TRANSFER = _read_only(*_pair_transfer())
 
 
 def _class_sums(transfer: np.ndarray, keep: slice) -> np.ndarray:
@@ -320,7 +314,7 @@ def _reset_channel(model: NoiseModel, epsilon: float) -> tuple[np.ndarray, np.nd
 
     Shapes (4, 4^n), (4^n, 2^n) and (2^n, 4^n); see `_reset_step`.
     """
-    letters = _letter_amplitudes(model, epsilon)
+    letters = _letter_amplitudes(model, epsilon)[:, :, 0]
     effects = _syndrome_effects(letters)
     kraus = _no_error_kraus(letters)
     dim = kraus.shape[0]
@@ -360,42 +354,43 @@ def _joint_index(n: int) -> np.ndarray:
     return index
 
 
-def _contract_pairs(states: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """(x)_i factors[a, i] applied to states[a], one batched matmul per pair; shapes (B, 4^n) and (B, n, 4, 4).
-
-    The states are pair-interleaved: pair i's local index sys + 2 * env, that
-    of `pair_unitaries`, is base-4 digit i, pair n - 1 the most significant.
-    Each step multiplies the last axis of the (B, 4^(n-1), 4) view by
-    factors[:, i] and writes that digit back as the most significant, which
-    brings the next pair down to the last axis; after n steps the layout is
-    where it started.
-    """
-    batch, n = factors.shape[:2]
-    rest = 4 ** (n - 1)
-    for i in range(n):
-        states = (factors[:, i] @ states.reshape(batch, rest, 4).swapaxes(-1, -2)).reshape(batch, -1)
-    return states
-
-
 def _persist_policy_run(code, model, eps_c, cycles, psi) -> tuple[list, list]:
     """Each cycle's syndrome probabilities and conditional fidelity.
+
+    The four branches are the XOR classes of one (4, 4^n) array, and pair i is
+    one (16, 16) by (16, 4^(n-1)) product with the transfer
+    [(k, e', s'), (j, e, s)] -> letters[i, e', e, k ^ j] sigma_(k ^ j)[s', s];
+    a cycle starts in class 0, so pair 0 reads that class only.  The joint
+    state is pair-interleaved (`_joint_index`): each product reads pair i's
+    digit on the last axis and writes it back as the most significant, which
+    brings the next pair down.  Two (16, 4^(n-1)) buffers serve every pair and
+    cycle; the first also holds |B_b|^2 at the end of a cycle.
 
     The fidelity is 1 - ||Q B_0||^2 / p_0, with Q = 1 - |psi><psi| / ||psi||^2 on
     the system and B_0 the no-error branch: a sum of squares, so it cannot exceed 1.
     """
-    factors = _branch_factors(model, eps_c)
-    signs = _branch_signs(code)
-    index = _joint_index(code.n)
-    joint = np.zeros(4**code.n, dtype=complex)  # pair-interleaved, environment in |0...0>
+    n = code.n
+    index_table, paulis = _PAIR_TRANSFER
+    transfers = np.take(_letter_amplitudes(model, eps_c).reshape(n, 16), index_table, axis=1) * paulis
+    index = _joint_index(n)
+    rest = 4 ** (n - 1)
+    joint = np.zeros(4**n, dtype=complex)  # environment in |0...0>
     joint[index[0]] = psi.amplitudes
     psi_scaled = psi.amplitudes / np.vdot(psi.amplitudes, psi.amplitudes).real  # Q = 1 - |psi_scaled><psi|
+    gathered, classes = np.empty((16, rest), dtype=complex), np.empty((16, rest), dtype=complex)
+    weights = gathered[:8].view(float).reshape(4, -1)  # |B_b|^2, once the pairs are done with `gathered`
     probs, fidelities = [], []
     for _ in range(cycles):
-        branches = signs @ _contract_pairs(np.broadcast_to(joint, (4, joint.size)), factors)
-        probs.append((np.abs(branches) ** 2).sum(axis=1))
+        np.matmul(transfers[0, :, :4], joint.reshape(rest, 4).T, out=classes)
+        for transfer in transfers[1:]:
+            np.copyto(gathered.reshape(4, 4, rest), classes.reshape(4, rest, 4).swapaxes(1, 2))
+            np.matmul(transfer, gathered, out=classes)
+        branches = classes.reshape(4, -1)
+        np.abs(branches, out=weights)
+        probs.append(np.square(weights, out=weights).sum(axis=1))
         p0 = _no_error_weight(probs[-1])
-        kept = branches[0][index]  # [environment, system]
-        off_psi = kept - np.outer(kept @ psi.amplitudes.conj(), psi_scaled)
+        off_psi = branches[0][index]  # [environment, system]
+        off_psi -= np.outer(off_psi @ psi.amplitudes.conj(), psi_scaled)
         fidelities.append(1.0 - (np.abs(off_psi) ** 2).sum() / p0)
         joint = branches[0] / np.sqrt(p0)
     return probs, fidelities
@@ -491,9 +486,9 @@ def _outcome_weights(model: NoiseModel, epsilon: float) -> np.ndarray:
     """g[p, o] = ||E_c |0>_env||^2 for the letter c that system p's local outcome o reads; shape (n, 4).
 
     With V_p = sum_c E_c (x) sigma_c, E_c |0>_env is the column
-    `_letter_amplitudes(...)[p, :, c]`, so the small weights never pass through 1.
+    `_letter_amplitudes(...)[p, :, 0, c]`, so the small weights never pass through 1.
     """
-    return (np.abs(_letter_amplitudes(model, epsilon)) ** 2).sum(axis=1)[:, _OUTCOME_LETTERS]
+    return (np.abs(_letter_amplitudes(model, epsilon)[:, :, 0]) ** 2).sum(axis=1)[:, _OUTCOME_LETTERS]
 
 
 @cache

@@ -20,9 +20,11 @@ state psi, applying each controlled flip and the 4^n noise one by one;
 `two_time_protocol` takes no state and must agree with it to 1e-12 for
 every psi.
 
-`product_input_first_cycle` is one cycle from psi = |0...0> with a fresh
-environment, computed in O(16 n) from per-pair 4-vectors, with no state
-vector: a reference for the fast kernels past the dense reach.
+`pair_unitaries` forms the per-pair factors V_i = exp(+i eps H_i) of the
+noise from the model's pair eigenbases, one unitary per (system, environment)
+pair.  `product_input_first_cycle` is one cycle from psi = |0...0> with a fresh
+environment, computed from them in O(16 n) with no state vector: a reference
+for the fast kernels past the dense reach.
 
 `evolve_exact`, `evolve_first_order` and `reduced_density_matrix` are the
 dense evolution and partial trace the noise tests and acceptance criterion 4
@@ -37,7 +39,7 @@ import numpy as np
 
 from zenosim.errors import ContractViolation
 from zenosim.heisenberg import controlled_flip, encoder_matrix
-from zenosim.noise import pair_unitaries
+from zenosim.noise import _strength
 from zenosim.pauli import PAULI_MATRICES, conjugation_sign
 from zenosim.protocol import CycleResult, RunResult
 from zenosim.statevec import (
@@ -55,6 +57,7 @@ from zenosim.statevec import (
     product_state,
     projection_probabilities,
     sample_outcomes,
+    unit_phases,
 )
 from zenosim.zeno_code import prepare
 
@@ -164,6 +167,18 @@ def dense_two_time_probabilities(model, epsilon, psi) -> np.ndarray:
         state = apply(gate, state)
     single = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
     return projection_probabilities(state, range(tests), kron_all([single] * tests))
+
+
+def pair_unitaries(model, epsilon) -> np.ndarray:
+    """The factors V_i = exp(+i eps H_i) of the noise, one per (system i, environment i) pair.
+
+    H is a sum of commuting terms on disjoint pairs, so exp(i eps H) is the
+    tensor product of the returned 4x4 blocks.  Shape (n, 4, 4); the local
+    index is sys + 2 * env, as in `noise.pair_deviations`.
+    """
+    eps = _strength(epsilon)
+    w, v = model.pair_eigh
+    return (v * unit_phases(eps, w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def product_input_first_cycle(model, epsilon) -> tuple[np.ndarray, float]:

@@ -4,7 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from dense_reference import dense_build_hamiltonian, evolve_exact, evolve_first_order, reduced_density_matrix
+from dense_reference import (
+    dense_build_hamiltonian,
+    evolve_exact,
+    evolve_first_order,
+    pair_unitaries,
+    reduced_density_matrix,
+)
 from zenosim.errors import ContractViolation
 from zenosim.fitting import fit_power_law
 from zenosim.noise import (
@@ -15,7 +21,6 @@ from zenosim.noise import (
     model_to_dict,
     noise_unitary,
     pair_deviations,
-    pair_unitaries,
     random_model,
     save_model,
     zero_model,

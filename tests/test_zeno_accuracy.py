@@ -98,13 +98,14 @@ def test_cumulative_failure_matches_a_40_digit_reference(n, env_policy):
             assert relative <= RELATIVE_TOL, (total_epsilon, cycles, computed, float(exact))
 
 
+@pytest.mark.parametrize("env_policy", ["reset", "persist"])
 @pytest.mark.parametrize("n", [1, 2])
-def test_reset_cumulative_failure_is_accurate_to_rounding(n):
-    # the effects carry a small amplitude on both sides of every b > 0 term, so no digit is lost to the 1
+def test_cumulative_failure_is_accurate_to_rounding(n, env_policy):
+    # every term of a branch b > 0 carries a small letter amplitude, so no digit is lost to the 1
     code, model, psi = build_code(n), random_model(n, 0), basis_state(n)
     for total_epsilon in (1e-2, 1e-4, 1e-6, 1e-8):
         for cycles in (1, 16):
-            exact = mp_cumulative_failure(code, model, total_epsilon, cycles, "reset", psi)
-            computed = zeno_run(code, model, total_epsilon, cycles, "reset", 0, psi).cumulative_failure
+            exact = mp_cumulative_failure(code, model, total_epsilon, cycles, env_policy, psi)
+            computed = zeno_run(code, model, total_epsilon, cycles, env_policy, 0, psi).cumulative_failure
             relative = abs(mpmath.mpf(computed) - exact) / exact
             assert relative <= 1e-13, (total_epsilon, cycles, computed, float(exact))

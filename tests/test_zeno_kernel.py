@@ -30,7 +30,7 @@ import zenosim.noise
 import zenosim.protocol
 import zenosim.statevec
 import zenosim.zeno_code
-from dense_reference import dense_zeno_run, product_input_first_cycle
+from dense_reference import dense_zeno_run, pair_unitaries, product_input_first_cycle
 from zenosim.cli import main
 from zenosim.errors import ContractViolation
 from zenosim.noise import (
@@ -38,14 +38,11 @@ from zenosim.noise import (
     build_hamiltonian,
     noise_unitary,
     pair_deviations,
-    pair_unitaries,
     random_model,
     zero_model,
 )
 from zenosim.pauli import PAULI_MATRICES, conjugation_sign
 from zenosim.protocol import (
-    _branch_factors,
-    _branch_signs,
     _letter_amplitudes,
     _reset_channel,
     _reset_step,
@@ -142,7 +139,7 @@ def test_zeno_run_matches_dense_reference(n, policy, model_seed, psi_seed, cycle
 )
 def test_kraus_channel_preserves_trace_and_positivity(n, model_seed, psi_seed, cycles, epsilon):
     model = random_model(n, model_seed)
-    completeness = _syndrome_effects(_letter_amplitudes(model, epsilon)).sum(axis=0)
+    completeness = _syndrome_effects(_letter_amplitudes(model, epsilon)[:, :, 0]).sum(axis=0)
     assert np.abs(completeness - np.eye(2**n)).max() <= TOL
     channel = _reset_channel(model, epsilon)
     psi = random_state(n, psi_seed).amplitudes
@@ -156,12 +153,12 @@ def test_kraus_channel_preserves_trace_and_positivity(n, model_seed, psi_seed, c
 
 
 def test_branch_b_keeps_the_pauli_strings_whose_letters_xor_to_b():
-    # the reset recursions group strings by the XOR of their letters; the encoder's signs pick the class
+    # both zeno kernels group strings by the XOR of their letters; the encoder's signs pick the class
     signs = np.array([[conjugation_sign(a, c) for c in range(4)] for a in range(4)])
     for c, d in np.ndindex(4, 4):
         assert (signs[:, c] * signs[:, d] == signs[:, c ^ d]).all()
     for n in CODES:
-        assert np.array_equal(_branch_signs(CODES[n]) @ signs, np.eye(4))
+        assert np.array_equal(CODES[n].syndrome_basis.T.real / 2 @ signs, np.eye(4))
 
 
 @pytest.mark.parametrize("defect", ["a phase of modulus 1/2", "two entries in a row"])
@@ -219,8 +216,18 @@ def test_reset_first_cycle_matches_the_product_input_reference_past_the_cap(monk
     if n == 7:
         probs = zeno_run(build_code(n), model, epsilon, 1).per_cycle[0].syndrome_probabilities
     else:  # the effects alone: p_b = <0...0|G_b|0...0>
-        probs = _syndrome_effects(_letter_amplitudes(model, epsilon))[:, 0, 0].real
+        probs = _syndrome_effects(_letter_amplitudes(model, epsilon)[:, :, 0])[:, 0, 0].real
     np.testing.assert_allclose(probs, product_input_first_cycle(model, epsilon)[0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_persist_first_cycle_failure_matches_reset_in_the_zeno_regime(n):
+    # a fresh environment makes the first cycles equal; both keep a small letter in every b > 0 term
+    model = random_model(n, seed=3)
+    for psi, epsilon in itertools.product((basis_state(n), random_state(n, 4)), np.geomspace(0.3, 1e-8, 9)):
+        persist, reset = (zeno_run(CODES[n], model, epsilon, 1, policy, 0, psi).cumulative_failure
+                          for policy in ("persist", "reset"))
+        assert abs(persist - reset) <= 1e-14 * reset, (epsilon, persist, reset)
 
 
 def _counting(monkeypatch, module, name, calls):
@@ -301,10 +308,7 @@ def test_single_cycle_forms_one_noise_unitary_and_applies_no_dense_operator(monk
 def test_vanishing_no_error_branch_is_a_contract_violation(monkeypatch, policy):
     # V = i X on the system: every encoder branch is +-iX and the no-error sum cancels exactly
     flip = 1j * np.kron(np.eye(2), PAULI_MATRICES[1])
-    if policy == "reset":  # the reset policy reads V - 1
-        monkeypatch.setattr(zenosim.protocol, "pair_deviations", lambda model, epsilon: flip[None] - np.eye(4))
-    else:
-        monkeypatch.setattr(zenosim.protocol, "pair_unitaries", lambda model, epsilon: flip[None])
+    monkeypatch.setattr(zenosim.protocol, "pair_deviations", lambda model, epsilon: flip[None] - np.eye(4))
     with pytest.raises(ContractViolation, match="zero weight"):
         zeno_run(CODES[1], random_model(1, 0), 0.1, 1, policy)
 
@@ -336,7 +340,9 @@ def einsum_persist_run(code, model, total_epsilon, cycles, psi):
     """
     n = code.n
     dim = 2**n
-    factors = _branch_factors(model, total_epsilon / cycles).reshape(4, n, 2, 2, 2, 2)
+    flips = np.stack([np.kron(np.eye(2), p) for p in PAULI_MATRICES])[:, None]  # sigma_a on the system bit
+    factors = (flips @ pair_unitaries(model, total_epsilon / cycles)[None] @ flips).reshape(4, n, 2, 2, 2, 2)
+    signs = np.array([[conjugation_sign(a, b) for a in range(4)] for b in range(4)]) / 4  # chi_b(a) / 4
     joint = np.zeros((dim, dim), dtype=complex)
     joint[0] = psi.amplitudes
     results = []
@@ -346,7 +352,7 @@ def einsum_persist_run(code, model, total_epsilon, cycles, psi):
             hi, lo = 2 ** (n - 1 - i), 2**i
             split = branches.reshape(4, hi, 2, lo, hi, 2, lo)  # environment bit i, then system bit i
             branches = np.einsum("apsqt,aHqLhtl->aHpLhsl", factors[:, i], split)
-        branches = _branch_signs(code) @ branches.reshape(4, dim * dim)
+        branches = signs @ branches.reshape(4, dim * dim)
         probs = (np.abs(branches) ** 2).sum(axis=1)
         joint = branches[0].reshape(dim, dim) / np.sqrt(probs[0])
         results.append((probs, np.sum(np.abs(joint @ psi.amplitudes.conj()) ** 2)))
