@@ -260,7 +260,7 @@ def _noise_model(config: ExperimentConfig):
         return seeded(config.n, config.seed)
     try:
         model = load_model(config.model_file)
-    except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+    except (OSError, IndexError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
         raise ConfigError(f"model_file: cannot load {config.model_file!r}: {exc}") from exc
     if model.n != config.n:
         raise ConfigError(f"model_file: model has n={model.n}, expected {config.n}")

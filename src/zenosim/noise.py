@@ -187,6 +187,11 @@ def _integer(value, key: str) -> int:
 
 def model_from_dict(data: dict) -> NoiseModel:
     """The model of `model_to_dict`'s layout; a legacy "epsilon" key is ignored."""
+    if not isinstance(data, dict):
+        raise ContractViolation(f"a model must be a JSON object, got {type(data).__name__}")
+    for key in ("n", "couplings"):
+        if key not in data:
+            raise ContractViolation(f"a model needs the key {key!r}")
     pairs = np.asarray(data["couplings"])  # ValueError when ragged
     if pairs.dtype.kind not in "iuf" or pairs.shape[-1:] != (2,):
         raise ContractViolation("couplings must be [real, imaginary] pairs of numbers")

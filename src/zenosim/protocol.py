@@ -23,17 +23,19 @@ Both policies read the noise as per-pair Pauli letters, built from the pair
 deviations V_i - 1 (`_letter_amplitudes`): writing each <e'|V_i|e>_env in
 Paulis, branch b keeps exactly the Pauli strings whose letters XOR to b, so
 every term of a branch b > 0 carries a small letter and no O(1) part cancels.
+Both read them through one (16, 16) class transfer per pair (`_pair_transfers`):
+letter c = k ^ j takes XOR class j to class k and carries sigma_c.
 Under the default "reset" policy each cycle sees a fresh environment, so a
-cycle is a channel on the system's density matrix, read from the letters with
-e = 0.  Two objects are built once per run by recursions over the pairs that
-group strings by their XOR class: the syndrome effects
-G_b = sum_e K_{b,e}^dagger K_{b,e}, checked to sum to 1, and the no-error
-Kraus operators K_{0,e}.  Each cycle is then p_b = tr(G_b rho) and
+cycle is a channel on the system's density matrix, read from the transfer's
+e = 0 slice.  Recursions over the pairs that group strings by their XOR class
+build, once per run, the syndrome effects G_b = sum_e K_{b,e}^dagger K_{b,e}
+(from the slice's Gram; checked to sum to 1) and the no-error Kraus operators
+K_{0,e} (from the slice).  Each cycle is then p_b = tr(G_b rho) and
 rho <- sum_e K_{0,e} rho K_{0,e}^dagger / p_0.
 "persist" keeps one environment entangled across the whole run and carries
 the joint system|environment pure state, each pair's two qubits next to each
 other.  A cycle carries the four branches as the XOR classes of one array and
-applies one (16, 16) class transfer per pair (`_persist_policy_run`).
+applies the whole transfer pair by pair (`_persist_policy_run`).
 """
 
 from __future__ import annotations
@@ -222,40 +224,31 @@ def _letter_amplitudes(model: NoiseModel, epsilon: float) -> np.ndarray:
     return letters
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
-# Transfer tables of the class recursions.  A letter part takes class j to
-# class k when its letter is k ^ j; a pair's transfer matrix gathers the pair's
-# amplitudes through the index table and multiplies by the Pauli table.
-def _effect_transfer() -> tuple[np.ndarray, np.ndarray]:
-    """[(k', k), s, t, (j', j)] -> flat [c', c] of the letter Gram, and (sigma_c'^dagger sigma_c)[s, t]."""
-    bra, ket, s, t, bra_from, ket_from = np.indices((4, 4, 2, 2, 4, 4))
-    bra_letter, ket_letter = bra ^ bra_from, ket ^ ket_from
-    paulis = np.stack(PAULI_MATRICES)
-    products = (paulis.conj().swapaxes(-1, -2)[:, None] @ paulis)[bra_letter, ket_letter, s, t]
-    return (4 * bra_letter + ket_letter).reshape(16, 2, 2, 16), products.reshape(16, 2, 2, 16)
-
-
-def _kraus_transfer() -> tuple[np.ndarray, np.ndarray]:
-    """[k, s, e, t, j] -> flat [e, c] of the letter amplitudes, and sigma_c[s, t]."""
-    ket, s, env, t, ket_from = np.indices((4, 2, 2, 2, 4))
-    return 4 * env + (ket ^ ket_from), np.stack(PAULI_MATRICES)[ket ^ ket_from, s, t]
-
-
 def _pair_transfer() -> tuple[np.ndarray, np.ndarray]:
-    """[(k, e', s'), (j, e, s)] -> flat [e', e, c] of the letter amplitudes, and sigma_c[s', s]."""
+    """[(k, e', s'), (j, e, s)] -> flat [e', e, c] of the letter amplitudes, and sigma_c[s', s]; read-only."""
     ket, env_out, s_out, ket_from, env, s = np.indices((4, 2, 2, 4, 2, 2))
     letter = ket ^ ket_from
-    return (8 * env_out + 4 * env + letter).reshape(16, 16), np.stack(PAULI_MATRICES)[letter, s_out, s].reshape(16, 16)
+    index, paulis = 8 * env_out + 4 * env + letter, np.stack(PAULI_MATRICES)[letter, s_out, s]
+    index.flags.writeable = paulis.flags.writeable = False
+    return index.reshape(16, 16), paulis.reshape(16, 16)
 
 
-_EFFECT_TRANSFER = _read_only(*_effect_transfer())
-_KRAUS_TRANSFER = _read_only(*_kraus_transfer())
-_PAIR_TRANSFER = _read_only(*_pair_transfer())
+_PAIR_TRANSFER = _pair_transfer()
+
+
+def _pair_transfers(model: NoiseModel, epsilon: float) -> np.ndarray:
+    """T[i, (k, e', s'), (j, e, s)] = letters[i, e', e, k ^ j] sigma_(k ^ j)[s', s], shape (n, 16, 16).
+
+    Pair i's class transfer, the one both zeno policies read: persist the whole
+    of it, reset its fresh-environment slice (`_fresh_transfers`).
+    """
+    index, paulis = _PAIR_TRANSFER
+    return np.take(_letter_amplitudes(model, epsilon).reshape(model.n, 16), index, axis=1) * paulis
+
+
+def _fresh_transfers(model: NoiseModel, epsilon: float) -> np.ndarray:
+    """The e = 0 slice of `_pair_transfers` as [i, k, s', e', s, j]: letters[i, e', 0, k ^ j] sigma_(k ^ j)[s', s]."""
+    return _pair_transfers(model, epsilon).reshape(-1, 4, 2, 2, 4, 2, 2)[..., 0, :].transpose(0, 1, 3, 2, 5, 4)
 
 
 def _class_sums(transfer: np.ndarray, keep: slice) -> np.ndarray:
@@ -278,35 +271,35 @@ def _class_sums(transfer: np.ndarray, keep: slice) -> np.ndarray:
     return acc.reshape(-1, *[2**n] * legs)
 
 
-def _syndrome_effects(letters: np.ndarray) -> np.ndarray:
+def _syndrome_effects(fresh: np.ndarray) -> np.ndarray:
     """G[b] = sum_e K[b, e]^dagger K[b, e], shape (4, 2^n, 2^n), checked to sum to 1 within NORM_TOL.
 
     With <e_i|V_i|0> = sum_c letters[i, e_i, c] sigma_c, the encoder's signs
     keep in branch b exactly the system Pauli strings whose letters XOR to b,
     so K[b, e] = sum over those strings of (x)_i letters[i, e_i, c_i] sigma_c_i.
-    The recursion carries 16 (bra class, ket class) parts: per pair the letter
-    Gram sum_e conj(letters[i, e, c']) letters[i, e, c] times sigma_c'^dagger sigma_c.
+    The recursion carries 16 (bra class, ket class) parts: per pair the Gram of `fresh` (`_fresh_transfers`)
+    over its outputs (s', e'), sum_e conj(letters[i, e, c']) letters[i, e, c] times sigma_c'^dagger sigma_c.
     Every string of a branch b > 0 has a letter other than the identity on each
     side, so each term of G[b > 0] carries a small amplitude twice and no O(1)
     part cancels.
     """
-    gram = letters.conj().swapaxes(-1, -2) @ letters  # [i, c', c]
-    index, paulis = _EFFECT_TRANSFER
-    effects = _class_sums(np.take(gram.reshape(-1, 16), index, axis=1) * paulis, slice(None, None, 5))
+    n = len(fresh)
+    kets = fresh.transpose(0, 2, 3, 1, 4, 5).reshape(n, 4, 32)  # [i, (s', e'), (k, s, j)]
+    gram = (kets.conj().swapaxes(-1, -2) @ kets).reshape(n, 4, 2, 4, 4, 2, 4)  # [i, k', s, j', k, t, j]
+    effects = _class_sums(gram.transpose(0, 1, 4, 2, 5, 3, 6).reshape(n, 16, 2, 2, 16), slice(None, None, 5))
     defect = np.abs(effects.sum(axis=0) - np.eye(effects.shape[-1])).max()
     if not defect <= NORM_TOL:
         raise ContractViolation(f"reset-policy syndrome effects miss the identity by {defect:.3e}")
     return effects
 
 
-def _no_error_kraus(letters: np.ndarray) -> np.ndarray:
+def _no_error_kraus(fresh: np.ndarray) -> np.ndarray:
     """K[s, e, t] = <s|K[0, e]|t>, the no-error Kraus operators, shape (2^n, 2^n, 2^n).
 
-    The ket-only recursion of `_syndrome_effects`: four classes, the letter-c
-    part of pair i is letters[i, e_i, c] sigma_c, and the last pair forms class 0 only.
+    The ket-only recursion of `_syndrome_effects`, over the fresh transfer
+    `fresh` itself: four classes, and the last pair forms class 0 only.
     """
-    index, paulis = _KRAUS_TRANSFER
-    return _class_sums(np.take(letters.reshape(-1, 8), index, axis=1) * paulis, slice(0, 1))[0]
+    return _class_sums(fresh, slice(0, 1))[0]
 
 
 def _reset_channel(model: NoiseModel, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,9 +307,9 @@ def _reset_channel(model: NoiseModel, epsilon: float) -> tuple[np.ndarray, np.nd
 
     Shapes (4, 4^n), (4^n, 2^n) and (2^n, 4^n); see `_reset_step`.
     """
-    letters = _letter_amplitudes(model, epsilon)[:, :, 0]
-    effects = _syndrome_effects(letters)
-    kraus = _no_error_kraus(letters)
+    fresh = _fresh_transfers(model, epsilon)
+    effects = _syndrome_effects(fresh)
+    kraus = _no_error_kraus(fresh)
     dim = kraus.shape[0]
     return effects.swapaxes(-1, -2).reshape(4, -1), kraus.reshape(dim * dim, dim), kraus.conj().reshape(dim, -1)
 
@@ -328,7 +321,7 @@ def _reset_step(channel: tuple, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return probs, (kraus_rows @ rho).reshape(len(rho), -1) @ kraus_conj.T / _no_error_weight(probs)
 
 
-def _reset_policy_run(code, model, eps_c, cycles, psi) -> tuple[list, list]:
+def _reset_policy_run(model, eps_c, cycles, psi) -> tuple[list, list]:
     """Each cycle's syndrome probabilities and conditional fidelity."""
     channel = _reset_channel(model, eps_c)
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
@@ -354,12 +347,11 @@ def _joint_index(n: int) -> np.ndarray:
     return index
 
 
-def _persist_policy_run(code, model, eps_c, cycles, psi) -> tuple[list, list]:
+def _persist_policy_run(model, eps_c, cycles, psi) -> tuple[list, list]:
     """Each cycle's syndrome probabilities and conditional fidelity.
 
     The four branches are the XOR classes of one (4, 4^n) array, and pair i is
-    one (16, 16) by (16, 4^(n-1)) product with the transfer
-    [(k, e', s'), (j, e, s)] -> letters[i, e', e, k ^ j] sigma_(k ^ j)[s', s];
+    one (16, 16) by (16, 4^(n-1)) product with its `_pair_transfers` matrix;
     a cycle starts in class 0, so pair 0 reads that class only.  The joint
     state is pair-interleaved (`_joint_index`): each product reads pair i's
     digit on the last axis and writes it back as the most significant, which
@@ -369,9 +361,8 @@ def _persist_policy_run(code, model, eps_c, cycles, psi) -> tuple[list, list]:
     The fidelity is 1 - ||Q B_0||^2 / p_0, with Q = 1 - |psi><psi| / ||psi||^2 on
     the system and B_0 the no-error branch: a sum of squares, so it cannot exceed 1.
     """
-    n = code.n
-    index_table, paulis = _PAIR_TRANSFER
-    transfers = np.take(_letter_amplitudes(model, eps_c).reshape(n, 16), index_table, axis=1) * paulis
+    n = model.n
+    transfers = _pair_transfers(model, eps_c)
     index = _joint_index(n)
     rest = 4 ** (n - 1)
     joint = np.zeros(4**n, dtype=complex)  # environment in |0...0>
@@ -423,7 +414,7 @@ def zeno_run(
     check_system_state(code.n, psi)
     eps_c = total_epsilon / cycles
     runner = _reset_policy_run if env_policy == "reset" else _persist_policy_run
-    probs, fidelities = runner(code, model, eps_c, cycles, psi)
+    probs, fidelities = runner(model, eps_c, cycles, psi)
     sampled = sample_outcomes(np.random.default_rng(rng_seed), probs)
     per_cycle = [_cycle_result(*cycle) for cycle in zip(probs, fidelities, sampled)]
     cumulative = float(np.prod([c.success_probability for c in per_cycle]))

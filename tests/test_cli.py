@@ -374,6 +374,20 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [('{"couplings": []}', "needs the key 'n'"), ('{"n": 2}', "needs the key 'couplings'"),
+     ('[{"n": 2}]', "must be a JSON object, got list")],
+    ids=["without-n", "without-couplings", "list"],
+)
+def test_a_model_file_error_names_the_problem(tmp_path, capsys, text, problem):
+    out = tmp_path / "out.csv"
+    assert main([*SWEEP, "--n", "2", "--model-file", _model_file(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: model_file: cannot load") and err[0].endswith(problem), err
+    assert not out.exists()
+
+
 def test_a_model_file_needs_no_strength_and_ignores_a_legacy_one(tmp_path):
     # a run's strengths come from --eps or --total-eps alone
     data = model_to_dict(random_model(2, seed=5))

@@ -43,7 +43,9 @@ from zenosim.noise import (
 )
 from zenosim.pauli import PAULI_MATRICES, conjugation_sign
 from zenosim.protocol import (
+    _fresh_transfers,
     _letter_amplitudes,
+    _pair_transfers,
     _reset_channel,
     _reset_step,
     _syndrome_effects,
@@ -139,7 +141,7 @@ def test_zeno_run_matches_dense_reference(n, policy, model_seed, psi_seed, cycle
 )
 def test_kraus_channel_preserves_trace_and_positivity(n, model_seed, psi_seed, cycles, epsilon):
     model = random_model(n, model_seed)
-    completeness = _syndrome_effects(_letter_amplitudes(model, epsilon)[:, :, 0]).sum(axis=0)
+    completeness = _syndrome_effects(_fresh_transfers(model, epsilon)).sum(axis=0)
     assert np.abs(completeness - np.eye(2**n)).max() <= TOL
     channel = _reset_channel(model, epsilon)
     psi = random_state(n, psi_seed).amplitudes
@@ -150,6 +152,45 @@ def test_kraus_channel_preserves_trace_and_positivity(n, model_seed, psi_seed, c
         assert np.abs(rho - rho.conj().T).max() <= TOL
         assert abs(np.trace(rho) - 1.0) <= TOL
         assert np.linalg.eigvalsh(rho).min() >= -TOL
+
+
+def _kraus_table(letters: np.ndarray) -> np.ndarray:
+    """[i, k, s, e, t, j] = letters[i, e, k ^ j] sigma_(k ^ j)[s, t], gathered through an index table."""
+    ket, s, env, t, ket_from = np.indices((4, 2, 2, 2, 4))
+    letter = ket ^ ket_from
+    return np.take(letters.reshape(-1, 8), 4 * env + letter, axis=1) * np.stack(PAULI_MATRICES)[letter, s, t]
+
+
+def _effect_table(letters: np.ndarray) -> np.ndarray:
+    """[i, (k', k), s, t, (j', j)] = gram[i, k' ^ j', k ^ j] (sigma_(k' ^ j')^dagger sigma_(k ^ j))[s, t]."""
+    bra, ket, s, t, bra_from, ket_from = np.indices((4, 4, 2, 2, 4, 4))
+    bra_letter, ket_letter = bra ^ bra_from, ket ^ ket_from
+    paulis = np.stack(PAULI_MATRICES)
+    products = (paulis.conj().swapaxes(-1, -2)[:, None] @ paulis)[bra_letter, ket_letter, s, t]
+    gram = letters.conj().swapaxes(-1, -2) @ letters  # [i, c', c]
+    return (np.take(gram.reshape(-1, 16), 4 * bra_letter + ket_letter, axis=1) * products).reshape(-1, 16, 2, 2, 16)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_reset_recursions_read_the_fresh_pair_transfer_bit_for_bit(monkeypatch, n):
+    # the effect and Kraus recursions read the e = 0 slice of the transfer persist reads whole, and its Gram
+    read, real = [], zenosim.protocol._class_sums
+
+    def spy(transfer, keep):
+        read.append(transfer)
+        return real(transfer, keep)
+
+    monkeypatch.setattr(zenosim.protocol, "_class_sums", spy)
+    for seed, epsilon in itertools.product(range(10), (1e-8, 1e-3, 0.05, 0.3, 2)):
+        model = random_model(n, seed)
+        letters = _letter_amplitudes(model, epsilon)[:, :, 0]
+        fresh = _pair_transfers(model, epsilon).reshape(n, 4, 2, 2, 4, 2, 2)[..., 0, :]  # [i, k, e', s', j, s]
+        assert np.array_equal(fresh.transpose(0, 1, 3, 2, 5, 4), _kraus_table(letters)), (seed, epsilon)
+        read.clear()
+        _reset_channel(model, epsilon)
+        effect_transfer, kraus_transfer = read
+        assert np.array_equal(effect_transfer, _effect_table(letters)), (seed, epsilon)
+        assert np.array_equal(kraus_transfer, _kraus_table(letters)), (seed, epsilon)
 
 
 def test_branch_b_keeps_the_pauli_strings_whose_letters_xor_to_b():
@@ -216,7 +257,7 @@ def test_reset_first_cycle_matches_the_product_input_reference_past_the_cap(monk
     if n == 7:
         probs = zeno_run(build_code(n), model, epsilon, 1).per_cycle[0].syndrome_probabilities
     else:  # the effects alone: p_b = <0...0|G_b|0...0>
-        probs = _syndrome_effects(_letter_amplitudes(model, epsilon)[:, :, 0])[:, 0, 0].real
+        probs = _syndrome_effects(_fresh_transfers(model, epsilon))[:, 0, 0].real
     np.testing.assert_allclose(probs, product_input_first_cycle(model, epsilon)[0], rtol=0, atol=1e-14)
 
 
