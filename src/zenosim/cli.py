@@ -125,11 +125,11 @@ FIELDS = frozenset(field.name for field in dataclasses.fields(ExperimentConfig))
 def parse_epsilons(text: str, points: int) -> list:
     """Either an explicit comma list or 'lo..hi' expanded to a geometric grid."""
     text = text.strip()
+    if ".." in text and points < 2:
+        raise ConfigError("points: a strength range needs at least two points")
     try:
         if ".." in text:
             lo, hi = (float(part) for part in text.split("..", 1))
-            if points < 2:
-                raise ConfigError("points: a strength range needs at least two points")
             with np.errstate(all="ignore"):  # a non-finite end fails validation, without a warning
                 return [float(e) for e in np.geomspace(lo, hi, points)]
         return [float(tok) for tok in text.split(",") if tok]

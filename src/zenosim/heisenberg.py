@@ -2,10 +2,11 @@
 
 Instead of following states, these checks push Pauli operators through the
 controlled-flip gates and the encoder and compare the results against
-their closed forms, all by dense computation.  One textbook relation is
-known to disagree with its usual printed form; the check asserts the
-computed value and flags the difference rather than silently picking a
-side.
+their closed forms; every check, the n = 1 cycles included, is a product
+of dense matrices on one register (`operator_on_register`).  One textbook
+relation is known to disagree with its usual printed form; the check
+asserts the computed value and flags the difference rather than silently
+picking a side.
 """
 
 from __future__ import annotations
@@ -19,22 +20,13 @@ from .fitting import fit_power_law
 from .noise import NoiseModel, noise_unitary, random_model
 from .pauli import (
     PAULI_MATRICES,
+    SYNDROME_BASIS,
     PauliString,
     conjugate_by_encoder,
     conjugation_sign,
     pauli_multiply,
-    syndrome_state,
 )
-from .statevec import (
-    DenseOperator,
-    apply,
-    basis_state,
-    kron_all,
-    operator_on_register,
-    product_state,
-    projection_probabilities,
-    random_state,
-)
+from .statevec import DenseOperator, kron_all, operator_on_register, random_state
 
 LETTERS = {"x": 1, "y": 2, "z": 3}
 _I2 = np.eye(2, dtype=complex)
@@ -136,31 +128,30 @@ def ancilla_factor(letter) -> np.ndarray:
     return table[_letter(letter)]
 
 
+def _flip_product_conjugations() -> dict[str, tuple[np.ndarray, float]]:
+    """Per letter: enc sigma enc^dagger under the flip-product encoder, and its defect from ancilla_factor x sigma."""
+    enc = flip_product_encoder()
+    conjugations = {}
+    for name, lb in LETTERS.items():
+        sigma = operator_on_register(PAULI_MATRICES[lb], (2,), 3)
+        lhs = enc @ sigma @ enc.conj().T
+        rhs = operator_on_register(ancilla_factor(name), (0, 1), 3) @ sigma
+        conjugations[name] = lhs, np.abs(lhs - rhs).max()
+    return conjugations
+
+
 def verify_encoder_conjugations() -> list[IdentityReport]:
     """Push each system letter through the flip-product encoder.
 
-    The x and y lines are checked against their usual printed forms.  The
-    z line is asserted from the dense computation, whose system factor
-    comes out sigma_z; the often-quoted sigma_x form fails, and the report
-    says so instead of asserting it.
+    The x and y lines are checked against their usual printed forms, which
+    are ancilla_factor x letter.  The z line is asserted from the dense
+    computation, whose system factor comes out sigma_z; the often-quoted
+    sigma_x form fails, and the report says so instead of asserting it.
     """
-    enc = flip_product_encoder()
-    reports = []
-    printed = {
-        "x": (np.kron(_Z, _Z), PAULI_MATRICES[1]),
-        "y": (np.kron(_I2, _Z), PAULI_MATRICES[2]),
-    }
-    for name, (anc, sys_op) in printed.items():
-        lhs = enc @ operator_on_register(PAULI_MATRICES[LETTERS[name]], (2,), 3) @ enc.conj().T
-        rhs = operator_on_register(anc, (0, 1), 3) @ operator_on_register(sys_op, (2,), 3)
-        reports.append(_report(f"encoder-conjugation[{name}]", np.abs(lhs - rhs).max()))
-
-    lhs = enc @ operator_on_register(_Z, (2,), 3) @ enc.conj().T
-    computed = operator_on_register(np.kron(_Z, _I2), (0, 1), 3) @ operator_on_register(_Z, (2,), 3)
-    printed_z = operator_on_register(np.kron(_Z, _I2), (0, 1), 3) @ operator_on_register(
-        PAULI_MATRICES[1], (2,), 3
-    )
-    defect = np.abs(lhs - computed).max()
+    conjugations = _flip_product_conjugations()
+    reports = [_report(f"encoder-conjugation[{name}]", conjugations[name][1]) for name in ("x", "y")]
+    lhs, defect = conjugations["z"]
+    printed_z = operator_on_register(kron_all([np.kron(_Z, _I2), PAULI_MATRICES[1]]), (0, 1, 2), 3)
     printed_defect = np.abs(lhs - printed_z).max()
     reports.append(
         _report(
@@ -177,14 +168,8 @@ def verify_encoder_conjugations() -> list[IdentityReport]:
 
 def verify_compact_form() -> list[IdentityReport]:
     """Check that conjugating each letter equals ancilla_factor(letter) x letter."""
-    enc = flip_product_encoder()
     reports = []
-    for name, lb in LETTERS.items():
-        lhs = enc @ operator_on_register(PAULI_MATRICES[lb], (2,), 3) @ enc.conj().T
-        rhs = operator_on_register(ancilla_factor(name), (0, 1), 3) @ operator_on_register(
-            PAULI_MATRICES[lb], (2,), 3
-        )
-        defect = np.abs(lhs - rhs).max()
+    for name, (_, defect) in _flip_product_conjugations().items():
         fac = ancilla_factor(name)
         structural = max(
             np.abs(fac - np.diag(np.diag(fac))).max(),  # diagonal in the ancilla basis
@@ -201,7 +186,7 @@ def ancilla_factor_expectation(a) -> float:
     factor contains a sigma_z acting on a spin-up-along-x qubit.
     """
     fac = ancilla_factor(a)
-    start = syndrome_state(0)
+    start = SYNDROME_BASIS[:, 0]
     return float((start.conj() @ fac @ start).real)
 
 
@@ -218,7 +203,7 @@ def conditioned_cycle_operator(model: NoiseModel, epsilon: float) -> np.ndarray:
     noi = operator_on_register(noise_unitary(model, epsilon).matrix, (2, 3), 4)
     full = enc @ noi @ enc
     blocks = full.reshape(4, 4, 4, 4)  # [rest', anc', rest, anc]
-    start = syndrome_state(0)
+    start = SYNDROME_BASIS[:, 0]
     return np.einsum("a,xayb,b->xy", start.conj(), blocks, start)
 
 
@@ -240,13 +225,12 @@ def effective_noise_check(model: NoiseModel, epsilon: float) -> float:
 
 
 def _syndrome_distribution(encoder_full, decoder_full, model, epsilon, psi) -> np.ndarray:
-    basis = np.column_stack([syndrome_state(b) for b in range(4)])
-    state = product_state(syndrome_state(0), psi, basis_state(1).amplitudes)
-    for mat in (encoder_full, noise_unitary(model, epsilon).matrix, decoder_full):
-        dim = mat.shape[0]
-        targets = (2, 3) if dim == 4 else (0, 1, 2)
-        state = apply(DenseOperator(mat, targets), state)
-    return projection_probabilities(state, (0, 1), basis)
+    """Syndrome probabilities of one n = 1 cycle from |start, psi, 0>, each step a 4-qubit register matrix."""
+    state = np.kron([1.0, 0.0], np.kron(psi, SYNDROME_BASIS[:, 0]))  # environment, system, ancilla
+    for mat, targets in ((encoder_full, (0, 1, 2)), (noise_unitary(model, epsilon).matrix, (2, 3)),
+                         (decoder_full, (0, 1, 2))):
+        state = operator_on_register(mat, targets, 4) @ state
+    return (np.abs(state.reshape(-1, 4) @ SYNDROME_BASIS) ** 2).sum(axis=0)
 
 
 def verify_flip_product_equivalence() -> IdentityReport:
@@ -298,7 +282,7 @@ def _conjugation_sign_report() -> IdentityReport:
 
 
 def _syndrome_basis_report() -> IdentityReport:
-    basis = np.column_stack([syndrome_state(b) for b in range(4)])
+    basis = SYNDROME_BASIS
     gram = np.abs(basis.conj().T @ basis - np.eye(4)).max()
     start = np.abs(basis[:, 0] - 0.5).max()  # the uniform vector
     x_high = np.kron(PAULI_MATRICES[1], _I2)
@@ -327,10 +311,9 @@ def _encoder_conjugation_report() -> IdentityReport:
             for j in range(n):
                 word = PauliString.single(n, j, b)
                 diagonal = conjugate_by_encoder(n, word)
-                dense = cmat @ operator_on_register(PAULI_MATRICES[b], (2 + j,), m) @ cmat
-                rhs = operator_on_register(
-                    np.diag(np.array(diagonal, dtype=complex)), (0, 1), m
-                ) @ operator_on_register(PAULI_MATRICES[b], (2 + j,), m)
+                sigma = operator_on_register(PAULI_MATRICES[b], (2 + j,), m)
+                dense = cmat @ sigma @ cmat
+                rhs = operator_on_register(np.diag(np.array(diagonal, dtype=complex)), (0, 1), m) @ sigma
                 worst = max(worst, float(np.abs(dense - rhs).max()))
     return _report("encoder-conjugation", worst, note=f"system sizes 1..{_ENCODER_MAX_N}, all letters and positions")
 

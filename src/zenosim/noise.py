@@ -186,18 +186,25 @@ def _integer(value, key: str) -> int:
 
 
 def model_from_dict(data: dict) -> NoiseModel:
-    """The model of `model_to_dict`'s layout; a legacy "epsilon" key is ignored."""
+    """The model of `model_to_dict`'s layout; a legacy "epsilon" key is ignored, any other unknown key is an error."""
     if not isinstance(data, dict):
         raise ContractViolation(f"a model must be a JSON object, got {type(data).__name__}")
     for key in ("n", "couplings"):
         if key not in data:
             raise ContractViolation(f"a model needs the key {key!r}")
+    for key in data:
+        if key not in ("n", "seed", "couplings", "epsilon"):
+            raise ContractViolation(f"a model has an unknown key {key!r}")
     pairs = np.asarray(data["couplings"])  # ValueError when ragged
     if pairs.dtype.kind not in "iuf" or pairs.shape[-1:] != (2,):
         raise ContractViolation("couplings must be [real, imaginary] pairs of numbers")
     seed = data.get("seed")
+    if seed is not None:
+        seed = _integer(seed, "seed")
+        if seed < 0:
+            raise ContractViolation(f"seed must be nonnegative, got {seed}")
     couplings = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]  # signed zeros kept
-    return NoiseModel(_integer(data["n"], "n"), couplings, seed=None if seed is None else _integer(seed, "seed"))
+    return NoiseModel(_integer(data["n"], "n"), couplings, seed=seed)
 
 
 def save_model(model: NoiseModel, path) -> None:

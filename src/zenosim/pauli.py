@@ -112,6 +112,11 @@ def syndrome_state(b: int) -> np.ndarray:
     return 0.5 * np.array([conjugation_sign(a, b) for a in range(4)], dtype=float)
 
 
+#: The ancilla measurement basis, read-only: column b is syndrome_state(b).
+SYNDROME_BASIS = np.column_stack([syndrome_state(b) for b in range(4)])
+SYNDROME_BASIS.flags.writeable = False
+
+
 def conjugate_by_encoder(n: int, p: PauliString) -> tuple[int, int, int, int]:
     """Sandwich a system Pauli word between two copies of the encoder.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .pauli import PAULI_MATRICES, syndrome_state
+from .pauli import PAULI_MATRICES, SYNDROME_BASIS, syndrome_state
 from .statevec import StateVector, product_state
 
 MAX_SYSTEM_QUBITS = 6
@@ -70,8 +70,7 @@ def build_code(n: int) -> ZenoCode:
     ):
         raise ContractViolation("an encoder branch is not an involution")
     sources.flags.writeable = phases.flags.writeable = False
-    basis = np.column_stack([syndrome_state(b) for b in range(4)])
-    return ZenoCode(n, sources, phases, syndrome_state(0), basis)
+    return ZenoCode(n, sources, phases, syndrome_state(0), SYNDROME_BASIS)
 
 
 def check_system_count(n: int) -> None:

@@ -264,6 +264,7 @@ SWEEP = ["sweep", "--eps", "1e-3..1e-1"]
 ZENO = ["zeno", "--total-eps", "0.1", "--k", "1"]
 OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp would give NaN
 POINTS_WITHOUT_RANGE = "points: only a lo..hi strength range reads it"
+TOO_FEW_POINTS = "points: a strength range needs at least two points"
 # fields verify never reads: each must keep its default
 UNREAD_BY_VERIFY = {"n": 3, "env_policy": "persist", "observable": "infidelity", "epsilons": [5],
                     "psi_kind": "random-seeded"}
@@ -341,6 +342,9 @@ UNREAD_BY_VERIFY = {"n": 3, "env_policy": "persist", "observable": "infidelity",
         (lambda tmp: ["sweep", "--points", "2", *_config(tmp, '{"epsilons": [1e-3, 1e-2, 1e-1]}')],
          POINTS_WITHOUT_RANGE),
         (lambda tmp: [*SWEEP, "--points", "two"], "points: expected an integer"),
+        (lambda tmp: [*SWEEP, "--points", "1"], TOO_FEW_POINTS),
+        (lambda tmp: [*SWEEP, "--points", "0"], TOO_FEW_POINTS),
+        (lambda tmp: [*SWEEP, "--points", "-3"], TOO_FEW_POINTS),
     ],
     ids=["range-to-inf", "nan-in-list", "twotime-n7", "nan-total", "missing-model", "model-without-couplings",
          "model-short-couplings", "model-null-n", "model-not-json",
@@ -360,7 +364,8 @@ UNREAD_BY_VERIFY = {"n": 3, "env_policy": "persist", "observable": "infidelity",
          "model-fractional-n", "model-boolean-n", "model-fractional-seed",
          "verify-config-unread-fields", "verify-config-env-policy", "verify-config-model-file",
          "twotime-config-k", "zeno-config-eps", "sweep-config-total",
-         "sweep-points-with-list", "sweep-points-with-config-list", "sweep-points-word"],
+         "sweep-points-with-list", "sweep-points-with-config-list", "sweep-points-word",
+         "sweep-points-one", "sweep-points-zero", "sweep-points-negative"],
 )
 @pytest.mark.filterwarnings("error")  # a warning would print a second stderr line
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
@@ -377,8 +382,10 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize(
     "text, problem",
     [('{"couplings": []}', "needs the key 'n'"), ('{"n": 2}', "needs the key 'couplings'"),
-     ('[{"n": 2}]', "must be a JSON object, got list")],
-    ids=["without-n", "without-couplings", "list"],
+     ('[{"n": 2}]', "must be a JSON object, got list"),
+     (json.dumps({**model_to_dict(random_model(2, seed=0)), "sed": 5}), "unknown key 'sed'"),
+     (json.dumps({**model_to_dict(random_model(2, seed=0)), "seed": -3}), "seed must be nonnegative, got -3")],
+    ids=["without-n", "without-couplings", "list", "misspelt-key", "negative-seed"],
 )
 def test_a_model_file_error_names_the_problem(tmp_path, capsys, text, problem):
     out = tmp_path / "out.csv"

@@ -5,6 +5,13 @@ CSV `# generated:` timestamp, with the output path replaced by OUT.  A kernel
 change that moves any printed digit of a sweep row, its fit, or a two-time
 distribution fails here.  `verify` reports, the dense control, and `zeno` rows
 under both environment policies are pinned the same way.
+
+The entries were recorded at 2 BLAS threads on a 2-core machine (numpy's
+default there).  The n = 4 sweep rows come from dense 256 x 256 products whose
+rounding depends on the BLAS thread count: with OPENBLAS_NUM_THREADS=1 the
+eight `sweep-n4-*` entries fail (at eps = 1e-3 `sweep-n4-s0-csv` reads failure
+7.56526061296e-06 and infidelity 4.17510470641e-12 against the pinned
+7.56526061252e-06 and 4.17532675101e-12), and every other entry passes.  The test session header prints the thread settings and CPU count.
 """
 
 import json

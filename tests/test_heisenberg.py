@@ -5,11 +5,13 @@ import pytest
 
 from zenosim.errors import ContractViolation
 from zenosim.heisenberg import (
+    _syndrome_distribution,
     ancilla_factor,
     ancilla_factor_expectation,
     conditioned_cycle_operator,
     controlled_flip,
     effective_noise_check,
+    encoder_matrix,
     flip_product_encoder,
     run_verification,
     verify_encoder_conjugations,
@@ -19,7 +21,15 @@ from zenosim.heisenberg import (
 from zenosim.fitting import fit_power_law
 from zenosim.noise import NoiseModel, noise_unitary, random_model
 from zenosim.pauli import PAULI_MATRICES, syndrome_state
-from zenosim.statevec import operator_on_register
+from zenosim.statevec import (
+    DenseOperator,
+    apply,
+    basis_state,
+    operator_on_register,
+    product_state,
+    projection_probabilities,
+    random_state,
+)
 from zenosim.zeno_code import build_code
 
 I2 = np.eye(2)
@@ -124,6 +134,30 @@ def test_flip_product_and_canonical_encoders_agree_physically():
     report = verify_flip_product_equivalence()
     assert report.status == "pass"
     assert report.max_defect <= 1e-12
+
+
+def _state_vector_syndrome_distribution(encoder_full, decoder_full, model, epsilon, psi):
+    """The same n = 1 cycle on a state vector: each step applied on its target qubits, then a projective read-out."""
+    state = product_state(syndrome_state(0), psi, basis_state(1).amplitudes)
+    for mat, targets in ((encoder_full, (0, 1, 2)), (noise_unitary(model, epsilon).matrix, (2, 3)),
+                         (decoder_full, (0, 1, 2))):
+        state = apply(DenseOperator(mat, targets), state)
+    basis = np.column_stack([syndrome_state(b) for b in range(4)])
+    return projection_probabilities(state, (0, 1), basis)
+
+
+def test_register_syndrome_distribution_matches_the_state_vector_path_bit_for_bit():
+    flips = flip_product_encoder()
+    encoders = {"canonical": (encoder_matrix(1), encoder_matrix(1)), "flip-product": (flips, flips.conj().T)}
+    for name, (enc, dec) in encoders.items():
+        for seed in range(10):
+            model = random_model(1, seed)
+            for eps in (1e-6, 2e-2, 0.5):
+                for trial in range(5):
+                    psi = random_state(1, 100 * seed + trial).amplitudes
+                    register = _syndrome_distribution(enc, dec, model, eps, psi)
+                    reference = _state_vector_syndrome_distribution(enc, dec, model, eps, psi)
+                    assert np.array_equal(register, reference), (name, seed, eps, trial)
 
 
 def test_conditioned_operator_equals_letter_average():
