@@ -123,20 +123,25 @@ FIELDS = frozenset(field.name for field in dataclasses.fields(ExperimentConfig))
 
 
 def parse_epsilons(text: str, points: int) -> list:
-    """Either an explicit comma list or 'lo..hi' expanded to a geometric grid."""
+    """Either an explicit comma list or 'lo..hi' expanded to a geometric grid.
+
+    The range ends are parsed first, so a grid numpy cannot build names
+    `points`, not the strengths.
+    """
     text = text.strip()
     if ".." in text and points < 2:
         raise ConfigError("points: a strength range needs at least two points")
     try:
-        if ".." in text:
-            lo, hi = (float(part) for part in text.split("..", 1))
-            with np.errstate(all="ignore"):  # a non-finite end fails validation, without a warning
-                return [float(e) for e in np.geomspace(lo, hi, points)]
-        return [float(tok) for tok in text.split(",") if tok]
+        if ".." not in text:
+            return [float(tok) for tok in text.split(",") if tok]
+        lo, hi = (float(part) for part in text.split("..", 1))
     except ValueError as exc:
         raise ConfigError(f"epsilons: could not parse {text!r}") from exc
-    except MemoryError:
-        raise ConfigError(f"points: a grid of {points} strengths does not fit in memory") from None
+    try:
+        with np.errstate(all="ignore"):  # a non-finite end fails validation, without a warning
+            return [float(e) for e in np.geomspace(lo, hi, points)]
+    except (ValueError, MemoryError):
+        raise ConfigError(f"points: cannot build a grid of {points} strengths") from None
 
 
 def _as_float(value, field: str) -> float:

@@ -12,6 +12,7 @@ picking a side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -69,8 +70,16 @@ def encoder_matrix(n: int) -> np.ndarray:
 
 
 def controlled_flip(letter) -> DenseOperator:
-    """|0><0| x 1 + |1><1| x sigma_letter, control on local qubit 0, flip on qubit 1."""
-    sig = PAULI_MATRICES[_letter(letter)]
+    """|0><0| x 1 + |1><1| x sigma_letter, control on local qubit 0, flip on qubit 1.
+
+    One read-only gate per letter, built and checked on first use.
+    """
+    return _controlled_flip(_letter(letter))
+
+
+@cache
+def _controlled_flip(letter: int) -> DenseOperator:
+    sig = PAULI_MATRICES[letter]
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
     mat = np.kron(_I2, p0) + np.kron(sig, p1)
@@ -122,10 +131,16 @@ def ancilla_factor(letter) -> np.ndarray:
     x maps to z(x)z, y to 1(x)z, z to z(x)1, in (high qubit 1, low qubit 0)
     order; the identity letter maps to the identity.
     """
-    if letter in (0, "i", "I"):
-        return np.eye(4, dtype=complex)
-    table = {1: np.kron(_Z, _Z), 2: np.kron(_I2, _Z), 3: np.kron(_Z, _I2)}
-    return table[_letter(letter)]
+    return _ancilla_factors()[0 if letter in (0, "i", "I") else _letter(letter)]
+
+
+@cache
+def _ancilla_factors() -> tuple[np.ndarray, ...]:
+    """Read-only ancilla factors of the letters 0..3, built on first use."""
+    table = (np.eye(4, dtype=complex), np.kron(_Z, _Z), np.kron(_I2, _Z), np.kron(_Z, _I2))
+    for fac in table:
+        fac.flags.writeable = False
+    return table
 
 
 def _flip_product_conjugations() -> dict[str, tuple[np.ndarray, float]]:
@@ -140,15 +155,16 @@ def _flip_product_conjugations() -> dict[str, tuple[np.ndarray, float]]:
     return conjugations
 
 
-def verify_encoder_conjugations() -> list[IdentityReport]:
+def verify_encoder_conjugations(conjugations=None) -> list[IdentityReport]:
     """Push each system letter through the flip-product encoder.
 
     The x and y lines are checked against their usual printed forms, which
     are ancilla_factor x letter.  The z line is asserted from the dense
     computation, whose system factor comes out sigma_z; the often-quoted
     sigma_x form fails, and the report says so instead of asserting it.
+    `conjugations` is `_flip_product_conjugations()`, formed here if not given.
     """
-    conjugations = _flip_product_conjugations()
+    conjugations = _flip_product_conjugations() if conjugations is None else conjugations
     reports = [_report(f"encoder-conjugation[{name}]", conjugations[name][1]) for name in ("x", "y")]
     lhs, defect = conjugations["z"]
     printed_z = operator_on_register(kron_all([np.kron(_Z, _I2), PAULI_MATRICES[1]]), (0, 1, 2), 3)
@@ -166,10 +182,14 @@ def verify_encoder_conjugations() -> list[IdentityReport]:
     return reports
 
 
-def verify_compact_form() -> list[IdentityReport]:
-    """Check that conjugating each letter equals ancilla_factor(letter) x letter."""
+def verify_compact_form(conjugations=None) -> list[IdentityReport]:
+    """Check that conjugating each letter equals ancilla_factor(letter) x letter.
+
+    `conjugations` is `_flip_product_conjugations()`, formed here if not given.
+    """
+    conjugations = _flip_product_conjugations() if conjugations is None else conjugations
     reports = []
-    for name, (_, defect) in _flip_product_conjugations().items():
+    for name, (_, defect) in conjugations.items():
         fac = ancilla_factor(name)
         structural = max(
             np.abs(fac - np.diag(np.diag(fac))).max(),  # diagonal in the ancilla basis
@@ -199,12 +219,20 @@ def conditioned_cycle_operator(model: NoiseModel, epsilon: float) -> np.ndarray:
     """
     if model.n != 1:
         raise ContractViolation("the conditioned-operator check is defined for n = 1")
-    enc = operator_on_register(encoder_matrix(1), (0, 1, 2), 4)
+    enc = _encoder_register()
     noi = operator_on_register(noise_unitary(model, epsilon).matrix, (2, 3), 4)
     full = enc @ noi @ enc
     blocks = full.reshape(4, 4, 4, 4)  # [rest', anc', rest, anc]
     start = SYNDROME_BASIS[:, 0]
     return np.einsum("a,xayb,b->xy", start.conj(), blocks, start)
+
+
+@cache
+def _encoder_register() -> np.ndarray:
+    """Read-only n = 1 encoder on the register [ancilla | system | environment], built on first use."""
+    enc = operator_on_register(encoder_matrix(1), (0, 1, 2), 4)
+    enc.flags.writeable = False
+    return enc
 
 
 def effective_noise_check(model: NoiseModel, epsilon: float) -> float:
@@ -365,8 +393,9 @@ def run_verification() -> list[IdentityReport]:
     for a in LETTERS:
         for b in LETTERS:
             reports.append(verify_flip_conjugation(a, b))
-    reports.extend(verify_encoder_conjugations())
-    reports.extend(verify_compact_form())
+    conjugations = _flip_product_conjugations()
+    reports.extend(verify_encoder_conjugations(conjugations))
+    reports.extend(verify_compact_form(conjugations))
     reports.append(_expectation_report())
     reports.append(verify_flip_product_equivalence())
     reports.extend(_effective_noise_reports())

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -159,22 +159,42 @@ def apply(op: DenseOperator, state: StateVector) -> StateVector:
 
 
 def operator_on_register(matrix, targets, num_qubits: int) -> np.ndarray:
-    """Full 2^m matrix acting as `matrix` on `targets` and identity elsewhere."""
+    """Full 2^m matrix acting as `matrix` on `targets` and identity elsewhere.
+
+    Entry (I, J) is [I, J agree off `targets`] * matrix[t(I), t(J)], with t
+    the index bits on `targets`: the one complex product np.kron(1, matrix)
+    forms there, signed zeros included.
+    """
     targets = tuple(targets)
     k = len(targets)
+    if len(set(targets)) != k:
+        raise ContractViolation(f"duplicate target qubits in {targets}")
+    if any(q < 0 or q >= num_qubits for q in targets):
+        raise ContractViolation(f"targets {targets} out of range for a {num_qubits}-qubit register")
     mat = np.asarray(matrix, dtype=complex)
     if mat.shape != (2**k, 2**k):
         raise ContractViolation(f"matrix shape {mat.shape} does not match targets {targets}")
-    rest = [q for q in range(num_qubits) if q not in targets]
-    big = np.kron(np.eye(2 ** len(rest), dtype=complex), mat)
-    # big index = (rest bits high | target bits low); map global index into it
+    gather, same_rest = _register_layout(targets, num_qubits)
+    return same_rest * mat.reshape(-1)[gather]
+
+
+@lru_cache(maxsize=32)
+def _register_layout(targets: tuple[int, ...], num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (gather, same_rest) of `operator_on_register`, built once per layout.
+
+    gather[I, J] is the flat index of entry (t(I), t(J)) of a 2^k matrix on
+    `targets`; same_rest[I, J] is 1+0j where I and J agree on every other
+    qubit, else 0j.
+    """
     idx = np.arange(2**num_qubits)
-    j = np.zeros_like(idx)
-    for t, q in enumerate(targets):
-        j |= ((idx >> q) & 1) << t
-    for u, q in enumerate(rest):
-        j |= ((idx >> q) & 1) << (k + u)
-    return big[np.ix_(j, j)]
+    t = np.zeros_like(idx)
+    for u, q in enumerate(targets):
+        t |= ((idx >> q) & 1) << u
+    rest = idx & ~sum(1 << q for q in targets)
+    gather = (t[:, None] << len(targets)) | t[None, :]
+    same_rest = (rest[:, None] == rest[None, :]).astype(complex)
+    gather.flags.writeable = same_rest.flags.writeable = False
+    return gather, same_rest
 
 
 def check_phases(t: float, w: np.ndarray) -> None:

@@ -1,6 +1,11 @@
-"""Dense references: the noise Hamiltonian built from full-register krons,
+"""Dense references: register operators and the noise Hamiltonian built from
+full-register krons,
 `zeno_run` and the two-time protocol on their full registers, and dense
 evolution of the noise.
+
+`kron_operator_on_register` is the np.kron-and-gather body that
+`statevec.operator_on_register` replaced with a once-built layout; the
+production helper must reproduce it bit for bit, signed zeros included.
 
 `dense_build_hamiltonian` is the kron builder `noise.build_hamiltonian`
 replaced; the production builder must reproduce it bit for bit.
@@ -60,6 +65,23 @@ from zenosim.statevec import (
     unit_phases,
 )
 from zenosim.zeno_code import prepare
+
+
+def kron_operator_on_register(matrix, targets, num_qubits: int) -> np.ndarray:
+    """np.kron(1, matrix) with the rest qubits above the targets, rows and columns gathered into register order."""
+    targets = tuple(targets)
+    k = len(targets)
+    mat = np.asarray(matrix, dtype=complex)
+    rest = [q for q in range(num_qubits) if q not in targets]
+    big = np.kron(np.eye(2 ** len(rest), dtype=complex), mat)
+    # big index = (rest bits high | target bits low); map global index into it
+    idx = np.arange(2**num_qubits)
+    j = np.zeros_like(idx)
+    for t, q in enumerate(targets):
+        j |= ((idx >> q) & 1) << t
+    for u, q in enumerate(rest):
+        j |= ((idx >> q) & 1) << (k + u)
+    return big[np.ix_(j, j)]
 
 
 def dense_build_hamiltonian(model) -> DenseOperator:

@@ -528,6 +528,19 @@ def test_every_flag_sets_a_config_field_and_restates_no_default():
     assert dests == FIELDS  # and every field has a flag
 
 
+def test_a_grid_numpy_refuses_names_points_not_the_strengths(capsys):
+    # 10^20 points: numpy raises ValueError before it allocates anything
+    assert main(["sweep", "--eps", "1e-3..1e-1", "--points", "100000000000000000000"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: points:"), err
+
+
+def test_an_unparsable_range_end_still_names_the_strengths(capsys):
+    assert main(["sweep", "--eps", "1e-3..abc", "--points", "5"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: epsilons: could not parse '1e-3..abc'"], err
+
+
 def test_a_grid_too_large_to_allocate_exits_2(monkeypatch, capsys):
     # stands in for numpy refusing a huge grid, without allocating one
     def refuse(*args, **kwargs):

@@ -11,14 +11,19 @@ default there).  The n = 4 sweep rows come from dense 256 x 256 products whose
 rounding depends on the BLAS thread count: with OPENBLAS_NUM_THREADS=1 the
 eight `sweep-n4-*` entries fail (at eps = 1e-3 `sweep-n4-s0-csv` reads failure
 7.56526061296e-06 and infidelity 4.17510470641e-12 against the pinned
-7.56526061252e-06 and 4.17532675101e-12), and every other entry passes.  The test session header prints the thread settings and CPU count.
+7.56526061252e-06 and 4.17532675101e-12), and every other entry passes; the
+`verify` control is pinned at one BLAS thread below.  The test session header prints the thread settings and CPU count.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import zenosim
 from zenosim.cli import main
 from zenosim.output import data_lines
 
@@ -80,3 +85,14 @@ def test_golden_file_covers_every_invocation(golden):
 @pytest.mark.parametrize("label", list(INVOCATIONS))
 def test_cli_data_rows_are_byte_identical(label, golden, tmp_path):
     assert cli_data_lines(INVOCATIONS[label], tmp_path) == golden[label]
+
+
+def test_verify_rows_do_not_depend_on_the_blas_thread_count(golden, tmp_path):
+    out = tmp_path / "out.json"
+    src = str(Path(zenosim.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "zenosim.cli", *INVOCATIONS["verify-s0-json"], "--out", str(out)],
+                   check=True, env=env, capture_output=True)
+    lines = data_lines(out.read_text(encoding="utf-8").splitlines())
+    assert [ln.replace(str(out), "OUT") for ln in lines] == golden["verify-s0-json"]

@@ -1,8 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zenosim
+import zenosim.heisenberg
 from zenosim.errors import ContractViolation
 from zenosim.heisenberg import (
     _syndrome_distribution,
@@ -30,6 +36,7 @@ from zenosim.statevec import (
     projection_probabilities,
     random_state,
 )
+from zenosim.statevec import _register_layout
 from zenosim.zeno_code import build_code
 
 I2 = np.eye(2)
@@ -206,3 +213,43 @@ def test_run_verification_all_pass_and_serializable():
     for r in reports:
         d = dataclasses.asdict(r)
         assert set(d) == {"identity", "status", "max_defect", "note"}
+
+
+def test_run_verification_forms_the_flip_product_conjugations_once(monkeypatch):
+    calls = []
+    real = zenosim.heisenberg._flip_product_conjugations
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(zenosim.heisenberg, "_flip_product_conjugations", counting)
+    run_verification()
+    assert len(calls) == 1
+
+
+def test_two_verification_passes_report_the_same():
+    assert run_verification() == run_verification()
+
+
+def test_shared_constants_are_built_once_and_read_only():
+    constants = [ancilla_factor(a) for a in range(4)]
+    constants += [controlled_flip(letter).matrix for letter in "xyz"]
+    constants += [zenosim.heisenberg._encoder_register(), *_register_layout((0, 1, 2), 4)]
+    assert controlled_flip("y") is controlled_flip(2)
+    assert ancilla_factor("z") is ancilla_factor(3)
+    for arr in constants:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+
+
+def test_importing_the_package_builds_no_constant():
+    probe = (
+        "import zenosim, zenosim.heisenberg as h, zenosim.statevec as s; "
+        "print(h._controlled_flip.cache_info().currsize, h._ancilla_factors.cache_info().currsize, "
+        "h._encoder_register.cache_info().currsize, s._register_layout.cache_info().currsize)"
+    )
+    src = str(Path(zenosim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["0", "0", "0", "0"]

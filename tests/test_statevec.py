@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from dense_reference import reduced_density_matrix
+import zenosim.heisenberg
+from dense_reference import kron_operator_on_register, reduced_density_matrix
 from zenosim.errors import ContractViolation
 from zenosim.pauli import PAULI_MATRICES
 from zenosim.statevec import (
@@ -20,6 +23,7 @@ from zenosim.statevec import (
     random_state,
     sample_outcomes,
 )
+from zenosim.statevec import _register_layout
 
 
 def random_matrix(dim, seed):
@@ -151,6 +155,72 @@ def test_operator_on_register_kron_consistency():
     full = operator_on_register(mat, (1, 2), 4)
     expected = np.kron(np.eye(2), np.kron(mat, np.eye(2)))
     assert np.abs(full - expected).max() == 0.0
+
+
+def _assert_same_bits(fast, reference):
+    assert fast.dtype == reference.dtype == complex and fast.shape == reference.shape
+    assert np.array_equal(fast.view(float), reference.view(float))
+    assert np.array_equal(np.signbit(fast.view(float)), np.signbit(reference.view(float)))
+
+
+def _signed_zero_matrix(dim, seed):
+    """A random complex matrix with zeros of both signs in its real and imaginary parts."""
+    rng = np.random.default_rng(seed)
+    mat = random_matrix(dim, seed)
+    mat.real[rng.random(mat.shape) < 0.25] = -0.0
+    mat.imag[rng.random(mat.shape) < 0.25] = -0.0
+    mat.real[rng.random(mat.shape) < 0.25] = 0.0
+    mat.imag[rng.random(mat.shape) < 0.25] = 0.0
+    return mat
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+def test_operator_on_register_reproduces_the_kron_reference_bit_for_bit(num_qubits):
+    for k in range(1, min(3, num_qubits) + 1):
+        for targets in itertools.permutations(range(num_qubits), k):
+            mat = _signed_zero_matrix(2**k, seed=hash(targets) % 2**32)
+            _assert_same_bits(operator_on_register(mat, targets, num_qubits),
+                              kron_operator_on_register(mat, targets, num_qubits))
+
+
+def test_operator_on_register_matches_the_kron_reference_on_every_verify_call(monkeypatch):
+    calls = []
+    real = zenosim.heisenberg.operator_on_register
+
+    def spy(matrix, targets, num_qubits):
+        out = real(matrix, targets, num_qubits)
+        calls.append((np.array(matrix, dtype=complex), tuple(targets), num_qubits, out))
+        return out
+
+    monkeypatch.setattr(zenosim.heisenberg, "operator_on_register", spy)
+    zenosim.heisenberg._encoder_register.cache_clear()  # so its one register call is seen too
+    zenosim.heisenberg.run_verification()
+    layouts = {(targets, m) for _, targets, m, _ in calls}
+    assert ((0, 1, 2), 4) in layouts and ((2 + 3,), 6) in layouts
+    for matrix, targets, m, out in calls:
+        _assert_same_bits(out, kron_operator_on_register(matrix, targets, m))
+
+
+@pytest.mark.parametrize(
+    "matrix, targets, num_qubits",
+    [
+        (PAULI_MATRICES[1], (3,), 2),
+        (np.kron(PAULI_MATRICES[1], PAULI_MATRICES[1]), (0, 0), 2),
+        (PAULI_MATRICES[1], (-1,), 2),
+    ],
+    ids=["out-of-range", "duplicate", "negative"],
+)
+def test_operator_on_register_rejects_bad_targets(matrix, targets, num_qubits):
+    with pytest.raises(ContractViolation):
+        operator_on_register(matrix, targets, num_qubits)
+
+
+def test_register_layout_is_built_once_and_read_only():
+    gather, same_rest = _register_layout((2, 0), 3)
+    assert _register_layout((2, 0), 3)[0] is gather
+    for arr in (gather, same_rest):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0
 
 
 def test_dense_operator_flag_validation():
