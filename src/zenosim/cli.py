@@ -28,7 +28,7 @@ from .errors import ConfigError, ContractViolation
 from .heisenberg import run_verification
 from .noise import load_model, random_model
 from .output import write_csv, write_json
-from .protocol import epsilon_sweep, two_time_protocol, zeno_run
+from .protocol import epsilon_sweep, two_time_columns, two_time_protocol, zeno_run
 from .statevec import basis_state, random_state
 from .zeno_code import build_code, check_system_count
 
@@ -366,9 +366,8 @@ def _run_zeno(config: ExperimentConfig) -> int:
 
 def _run_twotime(config: ExperimentConfig) -> int:
     model = _noise_model(config)
-    results = [two_time_protocol(model, eps, config.seed) for eps in config.epsilons]
-    labels = ["p_" + "_".join(f"{vx}{vy}" for vx, vy in label) for label in results[0].labels]
-    columns = ["epsilon", *labels, "other_outcome_mass"]
+    results = [two_time_protocol(model, eps) for eps in config.epsilons]
+    columns = ["epsilon", *two_time_columns(config.n), "other_outcome_mass"]
     records = [
         dict(zip(columns, (eps, *[float(p) for p in result.probabilities], result.other_outcome_mass)))
         for eps, result in zip(config.epsilons, results)

@@ -155,16 +155,15 @@ def _flip_product_conjugations() -> dict[str, tuple[np.ndarray, float]]:
     return conjugations
 
 
-def verify_encoder_conjugations(conjugations=None) -> list[IdentityReport]:
+def verify_encoder_conjugations(conjugations) -> list[IdentityReport]:
     """Push each system letter through the flip-product encoder.
 
     The x and y lines are checked against their usual printed forms, which
     are ancilla_factor x letter.  The z line is asserted from the dense
     computation, whose system factor comes out sigma_z; the often-quoted
     sigma_x form fails, and the report says so instead of asserting it.
-    `conjugations` is `_flip_product_conjugations()`, formed here if not given.
+    `conjugations` is `_flip_product_conjugations()`.
     """
-    conjugations = _flip_product_conjugations() if conjugations is None else conjugations
     reports = [_report(f"encoder-conjugation[{name}]", conjugations[name][1]) for name in ("x", "y")]
     lhs, defect = conjugations["z"]
     printed_z = operator_on_register(kron_all([np.kron(_Z, _I2), PAULI_MATRICES[1]]), (0, 1, 2), 3)
@@ -182,12 +181,11 @@ def verify_encoder_conjugations(conjugations=None) -> list[IdentityReport]:
     return reports
 
 
-def verify_compact_form(conjugations=None) -> list[IdentityReport]:
+def verify_compact_form(conjugations) -> list[IdentityReport]:
     """Check that conjugating each letter equals ancilla_factor(letter) x letter.
 
-    `conjugations` is `_flip_product_conjugations()`, formed here if not given.
+    `conjugations` is `_flip_product_conjugations()`.
     """
-    conjugations = _flip_product_conjugations() if conjugations is None else conjugations
     reports = []
     for name, (_, defect) in conjugations.items():
         fac = ancilla_factor(name)
@@ -252,11 +250,13 @@ def effective_noise_check(model: NoiseModel, epsilon: float) -> float:
     return float(np.linalg.norm(cond - reference, 2))
 
 
-def _syndrome_distribution(encoder_full, decoder_full, model, epsilon, psi) -> np.ndarray:
-    """Syndrome probabilities of one n = 1 cycle from |start, psi, 0>, each step a 4-qubit register matrix."""
+def _syndrome_distribution(encoder, decoder, noise, psi) -> np.ndarray:
+    """Syndrome probabilities of one n = 1 cycle from |start, psi, 0>, each step a 4-qubit register matrix.
+
+    `noise` is the 4 x 4 noise unitary on [system | environment].
+    """
     state = np.kron([1.0, 0.0], np.kron(psi, SYNDROME_BASIS[:, 0]))  # environment, system, ancilla
-    for mat, targets in ((encoder_full, (0, 1, 2)), (noise_unitary(model, epsilon).matrix, (2, 3)),
-                         (decoder_full, (0, 1, 2))):
+    for mat, targets in ((encoder, (0, 1, 2)), (noise, (2, 3)), (decoder, (0, 1, 2))):
         state = operator_on_register(mat, targets, 4) @ state
     return (np.abs(state.reshape(-1, 4) @ SYNDROME_BASIS) ** 2).sum(axis=0)
 
@@ -271,12 +271,12 @@ def verify_flip_product_equivalence() -> IdentityReport:
     """
     canonical = encoder_matrix(1)
     flips = flip_product_encoder()
-    model = random_model(1, _FLIP_PRODUCT_SEED)
+    noise = noise_unitary(random_model(1, _FLIP_PRODUCT_SEED), 2e-2).matrix
     worst = 0.0
     for trial in range(3):
         psi = random_state(1, _FLIP_PRODUCT_SEED + 17 * trial)
-        p_canonical = _syndrome_distribution(canonical, canonical, model, 2e-2, psi.amplitudes)
-        p_flips = _syndrome_distribution(flips, flips.conj().T, model, 2e-2, psi.amplitudes)
+        p_canonical = _syndrome_distribution(canonical, canonical, noise, psi.amplitudes)
+        p_flips = _syndrome_distribution(flips, flips.conj().T, noise, psi.amplitudes)
         relabeled = p_flips[[0, 3, 2, 1]]
         worst = max(worst, float(np.abs(p_canonical - relabeled).max()))
     return _report(

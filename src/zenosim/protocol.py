@@ -2,8 +2,8 @@
 
 A cycle is prepare -> encode -> noisy evolution -> decode -> ancilla
 measurement.  All reported statistics are exact Born probabilities on the
-postselected (no-error) branch; sampling is layered on top purely for
-realism and is always seeded.
+postselected (no-error) branch.  Single cycles and zeno runs draw a
+syndrome sample; two-time runs draw none.
 
 Single cycles and sweeps encode the ancilla|system state as four branch
 words and evolve it under only the fresh-environment columns of the dense
@@ -49,7 +49,7 @@ import numpy as np
 from .errors import ContractViolation
 from .fitting import PowerLawFit, fit_power_law
 from .noise import NoiseModel, fresh_columns, noise_unitary, pair_deviations
-from .pauli import PAULI_MATRICES
+from .pauli import PAULI_MATRICES, SYNDROME_BASIS
 from .statevec import (
     NORM_TOL,
     StateVector,
@@ -111,13 +111,10 @@ class SweepTable:
 
 @dataclass(frozen=True)
 class TwoTimeResult:
-    """Joint outcome distribution of the paired two-time comparisons."""
+    """Joint outcome distribution of the paired two-time comparisons, in `two_time_columns` order."""
 
-    systems: int
     epsilon: float
-    labels: tuple[tuple[tuple[int, int], ...], ...]
     probabilities: np.ndarray
-    sampled_outcome: int
 
     @property
     def success_probability(self) -> float:
@@ -174,8 +171,8 @@ def single_cycle(
     reference = prepare(code, psi)
     state = _cycle_state(code, reference, model, epsilon)
     _check_norm_drift(reference, state)
-    probs = projection_probabilities(state, (0, 1), code.syndrome_basis)
-    _, post = postselect(state, (0, 1), code.in_state)
+    probs = projection_probabilities(state, (0, 1), SYNDROME_BASIS)
+    _, post = postselect(state, (0, 1), SYNDROME_BASIS[:, 0])
     fidelity = overlap_probability(post, reference)
     return _cycle_result(probs, fidelity, sample_outcomes(np.random.default_rng(rng_seed), probs[None])[0])
 
@@ -466,9 +463,6 @@ def epsilon_sweep(
 #: Syndrome letter -> two-time outcome index for one system (x and y comparisons).
 SYNDROME_TO_TWO_TIME = {0: 0, 1: 2, 2: 1, 3: 3}
 
-#: One system's (x, y) comparison readings for its local outcome o = x + 2y.
-_PAIR_READINGS = ((0, 0), (2, 0), (0, 2), (2, 2))
-
 #: The letter that each local outcome o reads: the inverse of SYNDROME_TO_TWO_TIME.
 _OUTCOME_LETTERS = sorted(SYNDROME_TO_TWO_TIME, key=SYNDROME_TO_TWO_TIME.get)
 
@@ -483,12 +477,17 @@ def _outcome_weights(model: NoiseModel, epsilon: float) -> np.ndarray:
 
 
 @cache
-def _two_time_labels(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per outcome, each pair's (x, y) comparison readings, 0 or 2; built once per n."""
-    return tuple(tuple(_PAIR_READINGS[(o >> 2 * p) & 3] for p in range(n)) for o in range(4**n))
+def two_time_columns(n: int) -> tuple[str, ...]:
+    """Each outcome's column name, "p_<x><y>_..." with system p's x and y readings, 0 or 2; built once per n.
+
+    Outcome o holds system p's x reading in bit 2p and its y reading in bit 2p + 1.
+    """
+    return tuple(
+        "p_" + "_".join(f"{2 * (o >> 2 * p & 1)}{2 * (o >> 2 * p + 1 & 1)}" for p in range(n)) for o in range(4**n)
+    )
 
 
-def two_time_protocol(disturbance: NoiseModel, epsilon: float, rng_seed: int) -> TwoTimeResult:
+def two_time_protocol(disturbance: NoiseModel, epsilon: float) -> TwoTimeResult:
     """Compare each system's x and y components at two times with test qubits.
 
     Per system, one test qubit couples through an x-type controlled flip
@@ -496,7 +495,8 @@ def two_time_protocol(disturbance: NoiseModel, epsilon: float, rng_seed: int) ->
     flip at nested instants in between; a test qubit found flipped means
     the corresponding two-time difference read 2 instead of 0.  Outcome
     sum_p o_p 4^p has system p's x reading in bit 2p and its y reading in
-    bit 2p + 1.
+    bit 2p + 1, as `two_time_columns` names it.  The result is the exact
+    distribution; no outcome is sampled.
 
     The flips twirl each pair's noise V_p = sum_c E_c (x) sigma_c, so system
     p's readout reports the letter c that hit it and nothing about the
@@ -511,6 +511,4 @@ def two_time_protocol(disturbance: NoiseModel, epsilon: float, rng_seed: int) ->
     worst = int(np.argmax(defects))
     if not defects[worst] <= NORM_TOL:
         raise ContractViolation(f"system {worst}'s two-time weights miss 1 by {defects[worst]:.3e}")
-    probs = kron_all(weights, start=(1.0,))  # system 0 on the lowest base-4 digit
-    sampled = int(sample_outcomes(np.random.default_rng(rng_seed), probs[None])[0])
-    return TwoTimeResult(n, float(epsilon), _two_time_labels(n), probs, sampled)
+    return TwoTimeResult(float(epsilon), kron_all(weights, start=(1.0,)))  # system 0 on the lowest base-4 digit

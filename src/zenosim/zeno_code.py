@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .pauli import PAULI_MATRICES, SYNDROME_BASIS, syndrome_state
+from .pauli import PAULI_MATRICES, SYNDROME_BASIS
 from .statevec import StateVector, product_state
 
 MAX_SYSTEM_QUBITS = 6
@@ -32,8 +32,6 @@ class ZenoCode:
     n: int
     sources: np.ndarray             # (4, 2^n): branch a sends input sources[a, s] to output s...
     phases: np.ndarray              # (4, 2^n): ...times phases[a, s]
-    in_state: np.ndarray            # uniform ancilla 4-vector
-    syndrome_basis: np.ndarray      # column b flags a letter-b error
 
 
 #: Whether letter a flips a qubit's bit: X and Y do, I and Z do not.
@@ -42,7 +40,7 @@ _FLIPS.flags.writeable = False
 
 
 def build_code(n: int) -> ZenoCode:
-    """The encoder's branch tables, and the ancilla data, for n system qubits, in O(n 2^n).
+    """The encoder's branch tables for n system qubits, in O(n 2^n).
 
     Branch a reads input sources[a, s] = s ^ mask_a, with mask_a every bit
     for X and Y and none for I and Z, times phases[a, s], the Kronecker power
@@ -70,7 +68,7 @@ def build_code(n: int) -> ZenoCode:
     ):
         raise ContractViolation("an encoder branch is not an involution")
     sources.flags.writeable = phases.flags.writeable = False
-    return ZenoCode(n, sources, phases, syndrome_state(0), SYNDROME_BASIS)
+    return ZenoCode(n, sources, phases)
 
 
 def check_system_count(n: int) -> None:
@@ -90,9 +88,9 @@ def check_system_state(n: int, psi: StateVector) -> None:
 
 
 def prepare(code: ZenoCode, psi: StateVector) -> StateVector:
-    """Place the ancilla in its uniform start state next to the system state."""
+    """Place the ancilla in its uniform start state, syndrome basis column 0, next to the system state."""
     check_system_state(code.n, psi)
-    return product_state(code.in_state, psi)
+    return product_state(SYNDROME_BASIS[:, 0], psi)
 
 
 def encode(code: ZenoCode, state: StateVector) -> StateVector:

@@ -45,7 +45,7 @@ import numpy as np
 from zenosim.errors import ContractViolation
 from zenosim.heisenberg import controlled_flip, encoder_matrix
 from zenosim.noise import _strength
-from zenosim.pauli import PAULI_MATRICES, conjugation_sign
+from zenosim.pauli import PAULI_MATRICES, SYNDROME_BASIS, conjugation_sign
 from zenosim.protocol import CycleResult, RunResult
 from zenosim.statevec import (
     DenseOperator,
@@ -121,10 +121,10 @@ def _reset_run(code, encoder, unitary, cycles, psi, rng):
         for w, v in zip(weights, vectors.T):
             if w < 1e-14:
                 continue
-            pure = product_state(code.in_state, v, basis_state(n).amplitudes)
+            pure = product_state(SYNDROME_BASIS[:, 0], v, basis_state(n).amplitudes)
             out = _cycle_state(encoder, pure, unitary)
-            probs += w * projection_probabilities(out, (0, 1), code.syndrome_basis)
-            rest = branch_vector(out, (0, 1), code.in_state).amplitudes
+            probs += w * projection_probabilities(out, (0, 1), SYNDROME_BASIS)
+            rest = branch_vector(out, (0, 1), SYNDROME_BASIS[:, 0]).amplitudes
             block = rest.reshape(dim, dim)  # environment index above system index
             rho_next += w * (block.T @ block.conj())
         rho = rho_next / float(probs[0])
@@ -139,8 +139,8 @@ def _persist_run(code, encoder, unitary, cycles, psi, rng):
     results = []
     for _ in range(cycles):
         state = _cycle_state(encoder, state, unitary)
-        probs = projection_probabilities(state, (0, 1), code.syndrome_basis)
-        _, state = postselect(state, (0, 1), code.in_state)
+        probs = projection_probabilities(state, (0, 1), SYNDROME_BASIS)
+        _, state = postselect(state, (0, 1), SYNDROME_BASIS[:, 0])
         results.append(_cycle_result(probs, overlap_probability(state, reference), rng))
     return results
 

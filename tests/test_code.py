@@ -7,7 +7,7 @@ import pytest
 import zenosim.zeno_code
 from zenosim.errors import ContractViolation
 from zenosim.heisenberg import branch_operator, encoder_matrix
-from zenosim.pauli import PAULI_MATRICES, PauliString, conjugate_by_encoder, syndrome_state
+from zenosim.pauli import PAULI_MATRICES, SYNDROME_BASIS, PauliString, conjugate_by_encoder, syndrome_state
 from zenosim.statevec import (
     DenseOperator,
     apply,
@@ -23,7 +23,7 @@ from zenosim.zeno_code import build_code, decode, encode, prepare
 
 def measure_syndrome(code, state, rng_seed):
     """The ancilla read in the syndrome basis: a sampled letter and every letter's probability."""
-    probs = projection_probabilities(state, (0, 1), code.syndrome_basis)
+    probs = projection_probabilities(state, (0, 1), SYNDROME_BASIS)
     return sample_outcomes(np.random.default_rng(rng_seed), probs[None])[0], probs
 
 
@@ -202,9 +202,9 @@ def test_symbolic_conjugation_matches_dense_for_multi_letter_words():
 
 
 def test_code_in_state_is_syndrome_zero():
-    code = build_code(1)
-    assert np.allclose(code.in_state, syndrome_state(0))
-    assert np.allclose(code.syndrome_basis[:, 0], code.in_state)
+    in_state = prepare(build_code(1), basis_state(1)).amplitudes.reshape(-1, 4)[0]  # the ancilla next to |0>
+    assert np.allclose(in_state, syndrome_state(0))
+    assert np.allclose(SYNDROME_BASIS[:, 0], in_state)
 
 
 def _dense_encode(n, state):

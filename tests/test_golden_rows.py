@@ -46,7 +46,7 @@ def _invocations() -> dict:
                     "sweep", "--n", str(n), "--seed", str(seed), "--psi", "random-seeded", "--psi-seed", str(seed),
                     "--eps", SWEEP_EPS, "--format", fmt,
                 ]
-            for n in (1, 2):
+            for n in (1, 2, 3):
                 runs[f"twotime-n{n}-s{seed}-{fmt}"] = [
                     "twotime", "--n", str(n), "--seed", str(seed), "--eps", TWOTIME_EPS, "--format", fmt,
                 ]

@@ -11,6 +11,7 @@ import zenosim
 import zenosim.heisenberg
 from zenosim.errors import ContractViolation
 from zenosim.heisenberg import (
+    _flip_product_conjugations,
     _syndrome_distribution,
     ancilla_factor,
     ancilla_factor_expectation,
@@ -37,7 +38,7 @@ from zenosim.statevec import (
     random_state,
 )
 from zenosim.statevec import _register_layout
-from zenosim.zeno_code import build_code
+from zenosim.zeno_code import build_code, prepare
 
 I2 = np.eye(2)
 Z = PAULI_MATRICES[3]
@@ -77,7 +78,7 @@ def test_flip_conjugation_specific_forms():
 
 
 def test_encoder_conjugation_lines():
-    reports = {r.identity: r for r in verify_encoder_conjugations()}
+    reports = {r.identity: r for r in verify_encoder_conjugations(_flip_product_conjugations())}
     assert reports["encoder-conjugation[x]"].status == "pass"
     assert reports["encoder-conjugation[y]"].status == "pass"
     z_line = reports["encoder-conjugation[z]"]
@@ -121,7 +122,8 @@ def test_ancilla_factor_expectations_are_kronecker_delta():
 def test_start_state_is_both_x_up_qubits():
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     assert np.abs(np.kron(plus, plus) - syndrome_state(0)).max() < 1e-15
-    assert np.abs(build_code(1).in_state - syndrome_state(0)).max() < 1e-15
+    in_state = prepare(build_code(1), basis_state(1)).amplitudes.reshape(-1, 4)[0]  # the ancilla next to |0>
+    assert np.abs(in_state - syndrome_state(0)).max() < 1e-15
 
 
 def test_flip_product_encoder_branch_structure():
@@ -143,11 +145,10 @@ def test_flip_product_and_canonical_encoders_agree_physically():
     assert report.max_defect <= 1e-12
 
 
-def _state_vector_syndrome_distribution(encoder_full, decoder_full, model, epsilon, psi):
+def _state_vector_syndrome_distribution(encoder_full, decoder_full, noise, psi):
     """The same n = 1 cycle on a state vector: each step applied on its target qubits, then a projective read-out."""
     state = product_state(syndrome_state(0), psi, basis_state(1).amplitudes)
-    for mat, targets in ((encoder_full, (0, 1, 2)), (noise_unitary(model, epsilon).matrix, (2, 3)),
-                         (decoder_full, (0, 1, 2))):
+    for mat, targets in ((encoder_full, (0, 1, 2)), (noise, (2, 3)), (decoder_full, (0, 1, 2))):
         state = apply(DenseOperator(mat, targets), state)
     basis = np.column_stack([syndrome_state(b) for b in range(4)])
     return projection_probabilities(state, (0, 1), basis)
@@ -160,10 +161,11 @@ def test_register_syndrome_distribution_matches_the_state_vector_path_bit_for_bi
         for seed in range(10):
             model = random_model(1, seed)
             for eps in (1e-6, 2e-2, 0.5):
+                noise = noise_unitary(model, eps).matrix
                 for trial in range(5):
                     psi = random_state(1, 100 * seed + trial).amplitudes
-                    register = _syndrome_distribution(enc, dec, model, eps, psi)
-                    reference = _state_vector_syndrome_distribution(enc, dec, model, eps, psi)
+                    register = _syndrome_distribution(enc, dec, noise, psi)
+                    reference = _state_vector_syndrome_distribution(enc, dec, noise, psi)
                     assert np.array_equal(register, reference), (name, seed, eps, trial)
 
 
@@ -226,6 +228,19 @@ def test_run_verification_forms_the_flip_product_conjugations_once(monkeypatch):
     monkeypatch.setattr(zenosim.heisenberg, "_flip_product_conjugations", counting)
     run_verification()
     assert len(calls) == 1
+
+
+def test_flip_product_equivalence_forms_its_noise_once(monkeypatch):
+    calls = []
+    real = zenosim.heisenberg.noise_unitary
+
+    def counting(model, epsilon):
+        calls.append((model.seed, epsilon))
+        return real(model, epsilon)
+
+    monkeypatch.setattr(zenosim.heisenberg, "noise_unitary", counting)
+    assert verify_flip_product_equivalence().status == "pass"
+    assert calls == [(11, 2e-2)]
 
 
 def test_two_verification_passes_report_the_same():

@@ -95,7 +95,7 @@ def test_probabilities_match_a_40_digit_reference(n, seed, psi_kind):
     psi = basis_state(n) if psi_kind == "basis" else random_state(n, seed)
     for epsilon in (1e-5, 1e-3, 1e-2, 3e-2):
         exact = mp_two_time_probabilities(model, epsilon, psi)
-        result = two_time_protocol(model, epsilon, rng_seed=0)
+        result = two_time_protocol(model, epsilon)
         pairs = [*zip(result.probabilities, exact), (result.other_outcome_mass, mpmath.fsum(exact[1:]))]
         for computed, reference in pairs:
             relative = abs(mpmath.mpf(float(computed)) - reference) / reference

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from zenosim.noise import random_model
-from zenosim.pauli import PAULI_MATRICES
+from zenosim.pauli import PAULI_MATRICES, SYNDROME_BASIS
 from zenosim.protocol import zeno_run
 from zenosim.statevec import basis_state
 from zenosim.zeno_code import build_code
@@ -36,7 +36,7 @@ def _local(index: int, i: int, n: int) -> int:
     return ((index >> i) & 1) + 2 * ((index >> (n + i)) & 1)
 
 
-def _branch_operators(code, model, epsilon) -> list:
+def _branch_operators(model, epsilon) -> list:
     """M_b = 1/4 sum_a chi_b(a) (x)_i sigma_a V_i sigma_a on index env * 2^n + sys, for b = 0..3."""
     n = model.n
     words = []
@@ -53,7 +53,7 @@ def _branch_operators(code, model, epsilon) -> list:
         for row, col in itertools.product(range(4**n), repeat=2):
             word[row, col] = mpmath.fprod(pair[_local(row, i, n), _local(col, i, n)] for i, pair in enumerate(pairs))
         words.append(word)
-    signs = code.syndrome_basis.T.real / 2  # chi_b(a) / 4, exact in floats
+    signs = SYNDROME_BASIS.T.real / 2  # chi_b(a) / 4, exact in floats
     return [sum((mpmath.mpf(signs[b, a]) * words[a] for a in range(4)), mpmath.zeros(4**n, 4**n)) for b in range(4)]
 
 
@@ -61,11 +61,11 @@ def _norm2(vector) -> mpmath.mpf:
     return mpmath.fsum(abs(z) ** 2 for z in vector)
 
 
-def mp_cumulative_failure(code, model, total_epsilon: float, cycles: int, env_policy: str, psi) -> mpmath.mpf:
+def mp_cumulative_failure(model, total_epsilon: float, cycles: int, env_policy: str, psi) -> mpmath.mpf:
     """1 - prod_k p_0 of a k-cycle run, with every step in DIGITS-digit arithmetic."""
     dim = 2**model.n
     with mpmath.workdps(DIGITS):
-        branches = _branch_operators(code, model, mpmath.mpf(total_epsilon) / cycles)
+        branches = _branch_operators(model, mpmath.mpf(total_epsilon) / cycles)
         system = mpmath.matrix([mpmath.mpc(complex(z).real, complex(z).imag) for z in psi.amplitudes])
         success = mpmath.mpf(1)
         if env_policy == "persist":
@@ -92,7 +92,7 @@ def test_cumulative_failure_matches_a_40_digit_reference(n, env_policy):
     code, model, psi = build_code(n), random_model(n, 0), basis_state(n)
     for total_epsilon in (1e-2, 1e-4, 1e-6):
         for cycles in (1, 16):
-            exact = mp_cumulative_failure(code, model, total_epsilon, cycles, env_policy, psi)
+            exact = mp_cumulative_failure(model, total_epsilon, cycles, env_policy, psi)
             computed = zeno_run(code, model, total_epsilon, cycles, env_policy, 0, psi).cumulative_failure
             relative = abs(mpmath.mpf(computed) - exact) / exact
             assert relative <= RELATIVE_TOL, (total_epsilon, cycles, computed, float(exact))
@@ -105,7 +105,7 @@ def test_cumulative_failure_is_accurate_to_rounding(n, env_policy):
     code, model, psi = build_code(n), random_model(n, 0), basis_state(n)
     for total_epsilon in (1e-2, 1e-4, 1e-6, 1e-8):
         for cycles in (1, 16):
-            exact = mp_cumulative_failure(code, model, total_epsilon, cycles, env_policy, psi)
+            exact = mp_cumulative_failure(model, total_epsilon, cycles, env_policy, psi)
             computed = zeno_run(code, model, total_epsilon, cycles, env_policy, 0, psi).cumulative_failure
             relative = abs(mpmath.mpf(computed) - exact) / exact
             assert relative <= 1e-13, (total_epsilon, cycles, computed, float(exact))
