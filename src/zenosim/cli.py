@@ -100,6 +100,8 @@ class ExperimentConfig:
             value = getattr(self, field)
             if not isinstance(value, int) or value < 0:
                 raise ConfigError(f"{field}: must be a nonnegative integer, got {value!r}")
+        if self.psi_seed != 0 and self.psi_kind != "random-seeded":
+            raise ConfigError("psi_seed: only --psi random-seeded reads it")
         for field in ("model_file", "output_path"):
             value = getattr(self, field)
             if value is not None and not isinstance(value, str):
@@ -315,7 +317,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
     code = build_code(config.n)
     model = _noise_model(config)
     psi = _system_state(config)
-    table = epsilon_sweep(code, model, config.epsilons, psi, config.observable, config.seed)
+    table = epsilon_sweep(code, model, config.epsilons, psi, config.observable)
     records = [
         {"epsilon": r.x, "failure_probability": r.failure_probability, "infidelity": r.infidelity}
         for r in table.rows

@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolation
+from .output import write_json
 from .pauli import PAULI_MATRICES
 from .statevec import DenseOperator, check_phases, hermitian_exp
 
@@ -208,8 +209,7 @@ def model_from_dict(data: dict) -> NoiseModel:
 
 
 def save_model(model: NoiseModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> NoiseModel:

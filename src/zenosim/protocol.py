@@ -432,7 +432,6 @@ def epsilon_sweep(
     epsilons,
     psi: StateVector | None = None,
     observable: str = "failure",
-    rng_seed: int = 0,
 ) -> SweepTable:
     """Exact single-cycle statistics across a strength grid, with a power-law fit.
 
@@ -452,7 +451,7 @@ def epsilon_sweep(
         psi = basis_state(code.n)
     rows = []
     for e in eps:
-        cycle = single_cycle(code, model, psi, rng_seed, epsilon=float(e))
+        cycle = single_cycle(code, model, psi, 0, epsilon=float(e))  # no row reads its syndrome draw
         rows.append(SweepRow(float(e), cycle.failure_probability, 1.0 - cycle.conditional_fidelity))
     values = [r.failure_probability if observable == "failure" else r.infidelity for r in rows]
     fit = fit_power_law(eps, values)

@@ -265,6 +265,7 @@ ZENO = ["zeno", "--total-eps", "0.1", "--k", "1"]
 OVERFLOW = "strength 1e+308 overflows the phases"  # eps * w is inf, and exp would give NaN
 POINTS_WITHOUT_RANGE = "points: only a lo..hi strength range reads it"
 TOO_FEW_POINTS = "points: a strength range needs at least two points"
+PSI_SEED_WITHOUT_RANDOM = "psi_seed: only --psi random-seeded reads it"
 # fields verify never reads: each must keep its default
 UNREAD_BY_VERIFY = {"n": 3, "env_policy": "persist", "observable": "infidelity", "epsilons": [5],
                     "psi_kind": "random-seeded"}
@@ -305,6 +306,8 @@ UNREAD_BY_VERIFY = {"n": 3, "env_policy": "persist", "observable": "infidelity",
         (lambda tmp: [*ZENO, "--psi", "random-seeded", "--psi-seed", "-1"], "psi_seed:"),
         (lambda tmp: ["twotime", "--eps", "1e-2", *_config(tmp, '{"psi_kind": "random-seeded"}')], "psi_kind:"),
         (lambda tmp: ["twotime", "--eps", "1e-2", *_config(tmp, '{"psi_seed": 3}')], "psi_seed:"),
+        (lambda tmp: ["sweep", "--n", "2", "--eps", "1e-3..1e-1", "--psi-seed", "3"], PSI_SEED_WITHOUT_RANDOM),
+        (lambda tmp: [*ZENO, *_config(tmp, '{"psi_kind": "basis", "psi_seed": 3}')], PSI_SEED_WITHOUT_RANDOM),
         (lambda tmp: [*SWEEP, *_config(tmp, '{"env_policy": "persist"}')], "env_policy: only zeno"),
         (lambda tmp: ["twotime", "--eps", "1e-2", *_config(tmp, '{"env_policy": "persist"}')], "env_policy: only zeno"),
         (lambda tmp: [*ZENO, *_config(tmp, '{"observable": "infidelity"}')], "observable: only sweep"),
@@ -353,6 +356,7 @@ UNREAD_BY_VERIFY = {"n": 3, "env_policy": "persist", "observable": "infidelity",
          "zeno-config-k-fraction", "zeno-flag-k-fraction", "sweep-config-n-word", "zeno-config-n-word",
          "zeno-config-n-fraction", "sweep-config-list", "zeno-config-list", "zeno-config-total-word",
          "sweep-config-negative-seed", "zeno-negative-psi-seed", "twotime-config-psi", "twotime-config-psi-seed",
+         "sweep-psi-seed-without-random", "zeno-config-psi-seed-without-random",
          "sweep-config-env-policy", "twotime-config-env-policy", "zeno-config-observable",
          "twotime-config-observable",
          "sweep-config-not-utf8",

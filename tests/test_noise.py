@@ -25,6 +25,7 @@ from zenosim.noise import (
     save_model,
     zero_model,
 )
+from zenosim.output import write_json
 from zenosim.pauli import PAULI_MATRICES
 from zenosim.protocol import single_cycle
 from zenosim.statevec import (
@@ -384,6 +385,14 @@ def test_json_roundtrip(tmp_path):
     # file is plain JSON
     with open(path, encoding="utf-8") as fh:
         assert json.load(fh)["n"] == 2
+
+
+def test_a_saved_model_holds_the_bytes_write_json_gives(tmp_path):
+    # one JSON writer: sorted keys, two-space indent and a trailing newline
+    model = random_model(2, seed=77)
+    save_model(model, tmp_path / "model.json")
+    write_json(tmp_path / "direct.json", model_to_dict(model))
+    assert (tmp_path / "model.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
 
 
 def test_model_dict_ignores_a_legacy_strength_and_rejects_malformed_couplings():
