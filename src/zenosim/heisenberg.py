@@ -218,7 +218,7 @@ def conditioned_cycle_operator(model: NoiseModel, epsilon: float) -> np.ndarray:
     if model.n != 1:
         raise ContractViolation("the conditioned-operator check is defined for n = 1")
     enc = _encoder_register()
-    noi = operator_on_register(noise_unitary(model, epsilon).matrix, (2, 3), 4)
+    noi = operator_on_register(noise_unitary(model, epsilon), (2, 3), 4)
     full = enc @ noi @ enc
     blocks = full.reshape(4, 4, 4, 4)  # [rest', anc', rest, anc]
     start = SYNDROME_BASIS[:, 0]
@@ -271,7 +271,7 @@ def verify_flip_product_equivalence() -> IdentityReport:
     """
     canonical = encoder_matrix(1)
     flips = flip_product_encoder()
-    noise = noise_unitary(random_model(1, _FLIP_PRODUCT_SEED), 2e-2).matrix
+    noise = noise_unitary(random_model(1, _FLIP_PRODUCT_SEED), 2e-2)
     worst = 0.0
     for trial in range(3):
         psi = random_state(1, _FLIP_PRODUCT_SEED + 17 * trial)

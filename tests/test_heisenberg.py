@@ -161,7 +161,7 @@ def test_register_syndrome_distribution_matches_the_state_vector_path_bit_for_bi
         for seed in range(10):
             model = random_model(1, seed)
             for eps in (1e-6, 2e-2, 0.5):
-                noise = noise_unitary(model, eps).matrix
+                noise = noise_unitary(model, eps)
                 for trial in range(5):
                     psi = random_state(1, 100 * seed + trial).amplitudes
                     register = _syndrome_distribution(enc, dec, noise, psi)
@@ -173,7 +173,7 @@ def test_conditioned_operator_equals_letter_average():
     # conditioning on the uniform ancilla averages the noise over all four letters
     model = random_model(1, seed=3)
     eps = 0.05
-    n_mat = noise_unitary(model, eps).matrix
+    n_mat = noise_unitary(model, eps)
     expected = np.zeros((4, 4), dtype=complex)
     for a in range(4):
         word = np.kron(I2, PAULI_MATRICES[a])  # env above system

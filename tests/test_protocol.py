@@ -7,7 +7,7 @@ from zenosim.errors import ContractViolation
 from zenosim.fitting import fit_power_law
 from zenosim.noise import NoiseModel, noise_unitary, random_model, zero_model
 from zenosim.protocol import epsilon_sweep, single_cycle, zeno_run
-from zenosim.statevec import DenseOperator, StateVector, basis_state, random_state
+from zenosim.statevec import StateVector, basis_state, random_state
 from zenosim.zeno_code import build_code
 
 EPS_GRID = np.geomspace(1e-3, 3e-2, 8)
@@ -126,8 +126,7 @@ def test_single_cycle_rejects_non_finite_strength(code1, model1, eps):
 
 def test_single_cycle_checks_the_evolved_norm(code2, model2, monkeypatch):
     def leaky(model, epsilon):
-        u = noise_unitary(model, epsilon)
-        return DenseOperator(u.matrix * (1 + 1e-10), u.target_qubits)
+        return noise_unitary(model, epsilon) * (1 + 1e-10)
 
     monkeypatch.setattr(zenosim.protocol, "noise_unitary", leaky)
     with pytest.raises(ContractViolation, match="norm"):

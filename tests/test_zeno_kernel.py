@@ -9,7 +9,9 @@ per-pair 7-index einsum it replaced, kept here as `einsum_persist_run`, and
 past the cap (n = 7..10) both policies' first cycle from |0...0> against
 `dense_reference.product_input_first_cycle`, which forms no state vector.
 `single_cycle`, the sweep's kernel, is checked against a one-cycle dense run:
-bit for bit for basis states, to rounding for random ones.
+bit for bit for basis states, to rounding for random ones; and bit for bit,
+for every state, against `dense_reference.register_single_cycle`, the
+register-state-vector body it replaced.
 """
 
 import functools
@@ -30,12 +32,11 @@ import zenosim.noise
 import zenosim.protocol
 import zenosim.statevec
 import zenosim.zeno_code
-from dense_reference import dense_zeno_run, pair_unitaries, product_input_first_cycle
+from dense_reference import dense_zeno_run, pair_unitaries, product_input_first_cycle, register_single_cycle
 from zenosim.cli import main
 from zenosim.errors import ContractViolation
 from zenosim.noise import (
     NoiseModel,
-    build_hamiltonian,
     noise_unitary,
     pair_deviations,
     random_model,
@@ -86,8 +87,8 @@ def test_pair_unitaries_factor_the_dense_noise(n):
 def test_cached_noise_unitary_is_bitwise_the_uncached_one(n, model_seed, scale, epsilons):
     model = random_model(n, model_seed).scaled(scale)
     for eps in epsilons:  # every call after the first reuses the model's eigendecomposition
-        uncached = hermitian_exp(build_hamiltonian(model), eps, max(2**n, 4)).matrix
-        assert np.array_equal(noise_unitary(model, eps).matrix, uncached)
+        uncached = noise_unitary(NoiseModel(model.n, model.couplings), eps)  # empty caches
+        assert np.array_equal(noise_unitary(model, eps), uncached)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -103,7 +104,8 @@ def test_noise_unitary_is_unitary_without_a_per_call_check(n, model_seed, scale,
         u = hermitian_exp(model.hamiltonian, eps).matrix
         assert np.abs(u.conj().T @ u - np.eye(4**n)).max() <= TOL
         width = max(2**n, 4)
-        fresh = noise_unitary(model, eps).matrix[:, :width]
+        fresh = noise_unitary(model, eps)
+        assert fresh.shape == (4**n, width)
         assert np.abs(fresh.conj().T @ fresh - np.eye(width)).max() <= TOL
 
 
@@ -292,16 +294,17 @@ def test_zeno_run_builds_no_dense_noise(monkeypatch, policy):
 
 
 def test_sweep_forms_only_the_fresh_environment_columns(monkeypatch):
-    real, widths = zenosim.noise.hermitian_exp, []
+    real, shapes = zenosim.protocol.noise_unitary, []
 
-    def spy(op, t, columns=None):
-        widths.append(columns)
-        return real(op, t, columns)
+    def spy(model, epsilon):
+        columns = real(model, epsilon)
+        shapes.append(columns.shape)
+        return columns
 
-    monkeypatch.setattr(zenosim.noise, "hermitian_exp", spy)
+    monkeypatch.setattr(zenosim.protocol, "noise_unitary", spy)
     table = epsilon_sweep(CODES[3], random_model(3, 4), np.geomspace(1e-3, 1e-1, 16))
     assert len(table.rows) == 16
-    assert widths == [8] * 16
+    assert shapes == [(64, 8)] * 16
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +336,37 @@ def test_single_cycle_of_a_random_state_matches_the_dense_register(sweep_model, 
         np.testing.assert_allclose(fast.syndrome_probabilities, dense.syndrome_probabilities, rtol=0, atol=1e-15)
         assert abs(fast.failure_probability - dense.failure_probability) <= 1e-10 * dense.failure_probability
         assert abs(fast.conditional_fidelity - dense.conditional_fidelity) <= TOL
+
+
+def _bits(cycle):
+    """The bit pattern of every float of a `CycleResult`, and its sampled syndrome."""
+    floats = (cycle.success_probability, cycle.conditional_fidelity, cycle.failure_probability)
+    return np.array(floats + cycle.syndrome_probabilities).view(np.uint64).tolist(), cycle.sampled_syndrome
+
+
+@pytest.mark.parametrize("model_seed", [0, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_single_cycle_is_the_register_cycle_bit_for_bit(sweep_model, n, model_seed):
+    model = sweep_model(n, model_seed)
+    states = (basis_state(n), basis_state(n, 2**n - 1), random_state(n, 0), random_state(n, 7))
+    for epsilon in SWEEP_STRENGTHS:
+        columns = hermitian_exp(model.hamiltonian, epsilon).matrix[:, : max(2**n, 4)]
+        for index, psi in enumerate(states):
+            fast = single_cycle(CODES[n], model, psi, 0, epsilon)
+            assert _bits(fast) == _bits(register_single_cycle(CODES[n], psi, columns, 0)), (epsilon, index)
+
+
+def test_a_warm_single_cycle_allocates_less_than_a_square_noise_matrix_and_a_quarter(sweep_model):
+    n = 5
+    code, model, psi = CODES[n], sweep_model(n, 0), random_state(n, 1)
+    single_cycle(code, model, psi, 0, 0.01)  # the model's eigendecomposition
+    tracemalloc.start()
+    try:
+        single_cycle(code, model, psi, 0, 0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 16**n * np.dtype(complex).itemsize
 
 
 def test_single_cycle_forms_one_noise_unitary_and_applies_no_dense_operator(monkeypatch):
