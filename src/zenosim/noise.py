@@ -24,8 +24,7 @@ import numpy as np
 from .errors import ContractViolation
 from .output import write_json
 from .pauli import PAULI_MATRICES
-# hermitian_exp is bound but not called here; see `noise_unitary`
-from .statevec import DenseOperator, check_phases, hermitian_exp, unit_phases  # noqa: F401
+from .statevec import DenseOperator, check_phases, hermitian_exp
 
 HERMITICITY_TOL = 1e-12
 
@@ -147,19 +146,14 @@ def noise_unitary(model: NoiseModel, epsilon: float) -> np.ndarray:
 
     These are U (1 (x) |0...0><0...0|_env) without its zero columns: the
     environment bits are the high bits of the block index, so they are the
-    first c = `fresh_columns(n)` columns, (v e^{i eps w}) v[:c]^dagger, bit
-    for bit those columns of the whole U, `hermitian_exp(model.hamiltonian,
-    eps)`, which a state with any other environment needs (the name stays
-    bound here, where the benchmark's tracer wraps it).  At n = 1, c = 4
-    is the whole U.  H is diagonalized once per model; each call only redoes
-    the phases, and the columns are orthonormal by the bound of
-    `hermitian_exp`, not by a per-call check.
+    first c = `fresh_columns(n)` columns, bit for bit those columns of the
+    whole U, `hermitian_exp(model.hamiltonian, eps)`, which a state with any
+    other environment needs.  At n = 1, c = 4 is the whole U.  H is
+    diagonalized once per model; each call only redoes the phases, and the
+    columns are orthonormal by the bound of `hermitian_exp`, not by a
+    per-call check.
     """
-    eps = _strength(epsilon)
-    w, v = model.hamiltonian.eigh
-    columns = (v * unit_phases(eps, w)) @ v[: fresh_columns(model.n)].conj().T
-    columns.flags.writeable = False
-    return columns
+    return hermitian_exp(model.hamiltonian, _strength(epsilon), fresh_columns(model.n)).matrix
 
 
 def pair_deviations(model: NoiseModel, epsilon: float) -> np.ndarray:

@@ -9,8 +9,7 @@ Single cycles and sweeps encode the ancilla|system state as four branch
 words and evolve it under only the fresh-environment columns of the dense
 noise unitary: the environment enters in |0...0>, so one (4^n, c) by (c, 4)
 product of the c = `fresh_columns(n)` columns that `noise_unitary` returns
-with the encoded [system, ancilla] rows is the whole evolved register, and
-the syndrome statistics are read off its decoded block.  The
+with the encoded [system, ancilla] rows is the whole evolved register.  The
 two-time protocol and repeated-measurement runs never build the full
 state; the two-time distribution is a product of one weight per system
 and outcome.  The noise factorizes as
@@ -51,8 +50,17 @@ from .errors import ContractViolation
 from .fitting import PowerLawFit, fit_power_law
 from .noise import NoiseModel, fresh_columns, noise_unitary, pair_deviations
 from .pauli import PAULI_MATRICES, SYNDROME_BASIS
-from .statevec import NORM_TOL, StateVector, basis_state, kron_all, sample_outcomes
-from .zeno_code import ZenoCode, apply_words, check_system_count, check_system_state
+from .statevec import (
+    NORM_TOL,
+    StateVector,
+    basis_state,
+    kron_all,
+    overlap_probability,
+    postselect,
+    projection_probabilities,
+    sample_outcomes,
+)
+from .zeno_code import ZenoCode, check_system_count, check_system_state, decode, encode, prepare
 
 
 @dataclass(frozen=True)
@@ -119,12 +127,6 @@ class TwoTimeResult:
         return math.fsum(self.probabilities[1:])
 
 
-#: The ancilla's start state, syndrome basis column 0, and the conjugated basis, as complex arrays; read-only.
-_START = np.asarray(SYNDROME_BASIS[:, 0], dtype=complex)
-_BASIS_CONJ = np.asarray(SYNDROME_BASIS, dtype=complex).conj()
-_START.flags.writeable = _BASIS_CONJ.flags.writeable = False
-
-
 def single_cycle(
     code: ZenoCode,
     model: NoiseModel,
@@ -134,18 +136,15 @@ def single_cycle(
 ) -> CycleResult:
     """Run one protection cycle and report its exact statistics.
 
-    The ancilla starts in `_START` next to psi, `reference` [s, a].  The
-    encoded rows [s, a] are the register's (system|environment block,
-    ancilla) rows where the environment is |0...0>; every other row is
-    zero, so one (4^n, c) by (c, 4) product with the c columns of
-    `noise_unitary` is the whole evolved register.  At n = 1 it runs over
-    all four, against zero rows for environment 1, for the rounding reason
-    of `fresh_columns`.  The decoded (4^n, 4) block [(environment, system),
-    ancilla] gives the syndrome probabilities, the postselected branch and
-    its overlap with `reference` by the reductions of
-    `projection_probabilities`, `postselect` and `overlap_probability`, on
-    the same shapes and in the same order, so the statistics are theirs bit
-    for bit.
+    Rows [s, a] of the encoded state are the rows of the register's
+    (system|environment block, ancilla) view where the environment is
+    |0...0>; every other row is zero, so one (4^n, c) by (c, 4) product
+    with the c columns of `noise_unitary` is the whole evolved register.
+    At n = 1 it runs over all four, against zero rows for environment 1,
+    for the rounding reason of `fresh_columns`.  For a basis psi each
+    ancilla column holds one nonzero amplitude, so the product adds no
+    terms and matches the dense register bit for bit; for other states the
+    sums run over the columns in their natural order.
 
     The syndrome sample drawn from `rng_seed` is recorded but never enters
     the probabilities or the fidelity, which are computed from the full
@@ -153,24 +152,16 @@ def single_cycle(
     """
     if model.n != code.n:
         raise ContractViolation(f"noise model has n={model.n} but code has n={code.n}")
-    check_system_state(code.n, psi)
-    dim = 2**code.n
-    reference = kron_all([_START, psi.amplitudes], start=(1.0 + 0j,))
+    reference = prepare(code, psi)
     rows = np.zeros((fresh_columns(code.n), 4), dtype=complex)
-    rows[:dim] = apply_words(code, reference.reshape(1, dim, 4))[0]
-    evolved = noise_unitary(model, epsilon) @ rows
-    block = apply_words(code, evolved.reshape(dim, dim, 4)).reshape(-1, 4)
-    drift = abs(np.linalg.norm(block) - np.linalg.norm(reference))
+    rows[: 2**code.n] = encode(code, reference).amplitudes.reshape(-1, 4)
+    state = decode(code, StateVector(noise_unitary(model, epsilon) @ rows))
+    drift = abs(state.norm() - reference.norm())
     if not drift <= NORM_TOL:  # the unitaries kept the norm: an O(state) check
         raise ContractViolation(f"evolution changed the state's norm by {drift:.3e}")
-    probs = (np.abs(block @ _BASIS_CONJ) ** 2).sum(axis=0)
-    kept = block @ _START.conj()
-    weight = float(np.vdot(kept, kept).real)
-    if not weight > 1e-300:
-        raise ContractViolation("postselection branch has zero weight")
-    post = np.outer(kept, _START) / np.sqrt(weight)
-    overlap = np.tensordot(reference.conj(), post.reshape(dim, -1), axes=([0], [1]))
-    fidelity = float(np.sum(np.abs(overlap) ** 2))
+    probs = projection_probabilities(state, (0, 1), SYNDROME_BASIS)
+    _, post = postselect(state, (0, 1), SYNDROME_BASIS[:, 0])
+    fidelity = overlap_probability(post, reference)
     return _cycle_result(probs, fidelity, sample_outcomes(np.random.default_rng(rng_seed), probs[None])[0])
 
 

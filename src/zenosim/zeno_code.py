@@ -93,24 +93,19 @@ def prepare(code: ZenoCode, psi: StateVector) -> StateVector:
     return product_state(SYNDROME_BASIS[:, 0], psi)
 
 
-def apply_words(code: ZenoCode, blocks: np.ndarray) -> np.ndarray:
-    """Each ancilla branch's word on (rest, 2^n, 4) amplitude blocks [rest, s, a].
-
-    Output [rest, s, a] is input [rest, sources[a, s], a] times phases[a, s]:
-    one exact product, as in the dense encoder's single nonzero entry per
-    row, so every nonzero amplitude keeps its bits.
-    """
-    return blocks[:, code.sources.T, np.arange(4)] * code.phases.T
-
-
 def encode(code: ZenoCode, state: StateVector) -> StateVector:
-    """Apply the encoder (`apply_words`) on the ancilla+system block; extra qubits pass through."""
+    """Apply the encoder on the ancilla+system block; extra qubits pass through.
+
+    Output amplitude [rest, s, a] is input [rest, sources[a, s], a] times
+    phases[a, s]: one exact product, as in the dense encoder's single
+    nonzero entry per row, so every nonzero amplitude keeps its bits.
+    """
     if state.num_qubits < code.n + 2:
         raise ContractViolation(
             f"state has {state.num_qubits} qubits; need at least {code.n + 2}"
         )
     blocks = state.amplitudes.reshape(-1, 2**code.n, 4)  # the ancilla is on the two low bits
-    return StateVector(apply_words(code, blocks))
+    return StateVector(blocks[:, code.sources.T, np.arange(4)] * code.phases.T)
 
 
 def decode(code: ZenoCode, state: StateVector) -> StateVector:

@@ -19,9 +19,9 @@ state with a fresh environment; persist carries one pure state.  The noise
 exponential is built once per run, since the strength per cycle is fixed.
 The production kernel in `zenosim.protocol` must agree with this to 1e-12.
 
-`register_single_cycle` is the register-state-vector body that
-`protocol.single_cycle` replaced with reductions on the decoded (4^n, 4)
-block; production must reproduce it bit for bit.
+`register_single_cycle` is `protocol.single_cycle`'s register-state-vector
+body fed the whole U's first c columns; any kernel that replaces it must
+reproduce it bit for bit.
 
 `dense_two_time_probabilities` runs the two-time protocol on the whole
 4n-qubit register of test, system and environment qubits, holding a system

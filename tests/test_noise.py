@@ -326,6 +326,7 @@ def test_fresh_environment_columns_are_bitwise_those_of_the_whole_unitary(n, see
             whole = hermitian_exp(model.hamiltonian, eps).matrix
             assert fresh.shape == (4**n, width)
             assert np.array_equal(fresh.view(np.uint64), whole[:, :width].view(np.uint64)), (seed, eps)
+    assert hermitian_exp(model.hamiltonian, 0.05, width).dim == 4**n  # the operator's, not the column count
 
 
 def test_model_and_operator_arrays_are_read_only():

@@ -10,8 +10,8 @@ past the cap (n = 7..10) both policies' first cycle from |0...0> against
 `dense_reference.product_input_first_cycle`, which forms no state vector.
 `single_cycle`, the sweep's kernel, is checked against a one-cycle dense run:
 bit for bit for basis states, to rounding for random ones; and bit for bit,
-for every state, against `dense_reference.register_single_cycle`, the
-register-state-vector body it replaced.
+for every state, against `dense_reference.register_single_cycle`, its
+register-state-vector body fed the whole U's leading columns.
 """
 
 import functools
