@@ -118,7 +118,7 @@ class ExperimentConfig:
 
     def as_dict(self) -> dict:
         """The fields and the derived `noise_kind`: what every output records."""
-        return {**dataclasses.asdict(self), "noise_kind": self.noise_kind}
+        return {**vars(self), "noise_kind": self.noise_kind}
 
 
 FIELDS = frozenset(field.name for field in dataclasses.fields(ExperimentConfig))
@@ -371,7 +371,7 @@ def _run_twotime(config: ExperimentConfig) -> int:
     results = [two_time_protocol(model, eps) for eps in config.epsilons]
     columns = ["epsilon", *two_time_columns(config.n), "other_outcome_mass"]
     records = [
-        dict(zip(columns, (eps, *[float(p) for p in result.probabilities], result.other_outcome_mass)))
+        dict(zip(columns, (eps, *result.probabilities.tolist(), result.other_outcome_mass)))
         for eps, result in zip(config.epsilons, results)
     ]
     path = _write_output(config, columns, {"rows": records, "fit": None})

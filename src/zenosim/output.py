@@ -40,7 +40,8 @@ def write_csv(path, config, columns, rows, fit=None) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """One line of sorted keys and a newline; without `indent`, json runs its C encoder."""
+    text = json.dumps(payload, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

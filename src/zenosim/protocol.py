@@ -124,7 +124,7 @@ class TwoTimeResult:
     @property
     def other_outcome_mass(self) -> float:
         """Probability that some comparison reads 2, summed over those outcomes, not 1 - p_0."""
-        return math.fsum(self.probabilities[1:])
+        return math.fsum(self.probabilities.tolist()[1:])
 
 
 def single_cycle(

@@ -15,7 +15,7 @@ import zenosim.cli
 from zenosim.cli import FIELDS, ExperimentConfig, _build_parser, main, parse_epsilons
 from zenosim.errors import ConfigError
 from zenosim.heisenberg import run_verification
-from zenosim.noise import model_to_dict, random_model, save_model, zero_model
+from zenosim.noise import load_model, model_to_dict, random_model, save_model, zero_model
 from zenosim.output import data_lines
 from zenosim.zeno_code import MAX_SYSTEM_QUBITS
 
@@ -416,6 +416,25 @@ def test_a_model_file_needs_no_strength_and_ignores_a_legacy_one(tmp_path):
             assert main([*argv, "--n", "2", "--model-file", model, "--out", str(out)]) == 0, (name, label)
             tables.append([ln for ln in data_lines(read_lines(out)) if not ln.startswith("# config:")])
         assert len(tables[0]) > 2 and tables[0] == tables[1], name
+
+
+def test_an_old_layout_model_file_loads_and_sweeps_as_one_saved_now(tmp_path):
+    # model files written before the one-line writer hold two-space-indented JSON
+    model = random_model(2, seed=9)
+    rows = {}
+    for layout in ("old", "now"):
+        folder = tmp_path / layout
+        folder.mkdir()
+        path = folder / "model.json"
+        if layout == "old":
+            path.write_text(json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        else:
+            save_model(model, path)
+        assert np.array_equal(load_model(path).couplings.view(np.uint64), model.couplings.view(np.uint64))
+        out = folder / "sweep.csv"
+        assert main(["sweep", "--n", "2", "--eps", "1e-3..1e-1", "--model-file", str(path), "--out", str(out)]) == 0
+        rows[layout] = [ln.replace(str(folder), "DIR") for ln in data_lines(read_lines(out))]
+    assert len(rows["now"]) > 2 and rows["old"] == rows["now"]
 
 
 def test_config_fields_the_subcommand_reads_are_recorded(tmp_path):

@@ -387,7 +387,7 @@ def test_json_roundtrip(tmp_path):
 
 
 def test_a_saved_model_holds_the_bytes_write_json_gives(tmp_path):
-    # one JSON writer: sorted keys, two-space indent and a trailing newline
+    # one JSON writer: one line of sorted keys and a trailing newline
     model = random_model(2, seed=77)
     save_model(model, tmp_path / "model.json")
     write_json(tmp_path / "direct.json", model_to_dict(model))
